@@ -9,7 +9,8 @@
 // sweep runs three ways --
 //
 //   seed      jobs=1, no cache, no analytical bound (the original serial
-//             explorer's behavior);
+//             explorer, minus its per-candidate analysis gate: candidate
+//             evaluation never runs the gate);
 //   cached    jobs=1 with a fresh CompileCache and the bound;
 //   parallel  jobs=N (--jobs, default all hardware threads) with the
 //             bound and the process-wide shared CompileCache, prewarmed
@@ -34,6 +35,7 @@
 #include <cinttypes>
 #include <cstring>
 
+#include "common/fnv.hpp"
 #include "core/dse.hpp"
 
 using namespace clflow;
@@ -51,13 +53,8 @@ double SweepWallUs(const std::function<core::DseResult()>& sweep,
 /// FNV-1a over everything the determinism contract covers, so two runs
 /// (any thread counts) can be compared with one line of grep+diff.
 std::uint64_t RankedDigest(const core::DseResult& r) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
+  std::uint64_t h = common::kFnvOffset;
+  auto mix = [&h](std::uint64_t v) { common::FnvMix(h, v); };
   auto mix_double = [&](double d) {
     std::uint64_t u = 0;
     std::memcpy(&u, &d, sizeof(u));
@@ -141,8 +138,6 @@ int main(int argc, char** argv) {
       if (cached && !shared_cache) {
         opts.cache = std::make_shared<core::CompileCache>();
       }
-      // The seed explorer ran the full analysis gate per candidate.
-      opts.verify_candidates = !cached;
       return core::ExploreFoldedTilings(net, board, opts);
     };
 

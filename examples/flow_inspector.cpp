@@ -65,7 +65,8 @@
 // event ring is dumped to <base>_flightrec.json for postmortem debugging.
 //
 // With --replicas N the faulted image (or a clean one) is routed through
-// an ha::ReplicaSet of N boards instead of a single deployment: any
+// an ha::ReplicaSet of N boards, each an instance of the compiled design,
+// instead of a single deployment: any
 // --inject-fault plan lands on board 0, the dispatcher fails the batch
 // over, and the per-board health table plus the ha.* gauges are printed.
 // With --observatory a deterministic open-loop load generator
@@ -568,7 +569,7 @@ int main(int argc, char** argv) {
       if (replicas > 0) {
         ha::HaOptions haopts;
         haopts.replicas = replicas;
-        ha::ReplicaSet rs(net, opts, haopts);
+        ha::ReplicaSet rs(d, haopts);
         if (plan) {
           rs.set_fault_injector(
               0, std::make_shared<resilience::FaultInjector>(*plan));
@@ -645,7 +646,7 @@ int main(int argc, char** argv) {
     haopts.replicas = replicas;
     haopts.flightrec_prefix = base + "_ha_";
     std::printf("\n--- replica set: %d board(s) ---\n", replicas);
-    ha::ReplicaSet rs(net, opts, haopts);
+    ha::ReplicaSet rs(d, haopts);
     if (!fault_specs.empty()) {
       resilience::FaultPlan plan;
       plan.seed = fault_seed;

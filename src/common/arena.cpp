@@ -4,15 +4,6 @@
 
 namespace clflow::common {
 
-std::uint64_t FnvHash(std::string_view s) noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 Arena::Arena(std::size_t block_bytes)
     : block_bytes_(block_bytes == 0 ? kDefaultBlockBytes : block_bytes) {}
 

@@ -34,12 +34,9 @@
 #include <unordered_map>
 #include <vector>
 
-namespace clflow::common {
+#include "common/fnv.hpp"
 
-/// FNV-1a over a byte string. Shared by the interner and the compile
-/// cache's content-key fingerprints so an interned key's hash can seed a
-/// cache fingerprint without rehashing the bytes.
-[[nodiscard]] std::uint64_t FnvHash(std::string_view s) noexcept;
+namespace clflow::common {
 
 /// A bump allocator. Not thread-safe: each compiling thread owns its own
 /// arena (enforced by the thread-local ArenaScope).

@@ -6,30 +6,22 @@
 #include <vector>
 
 #include "codegen/opencl_codegen.hpp"
+#include "common/fnv.hpp"
 #include "obs/metrics.hpp"
 
 namespace clflow::core {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
+/// Typed fold over common::FnvBytes/FnvMix for the cache keys.
 struct Fnv {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = common::kFnvOffset;
 
-  void Bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= kFnvPrime;
-    }
-  }
   void Str(std::string_view s) {
     U64(s.size());
-    Bytes(s.data(), s.size());
+    common::FnvBytes(h, s.data(), s.size());
   }
-  void U64(std::uint64_t v) { Bytes(&v, sizeof(v)); }
+  void U64(std::uint64_t v) { common::FnvMix(h, v); }
   void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
   void F64(double v) {
     std::uint64_t u = 0;

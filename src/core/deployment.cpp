@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <sstream>
 
 #include "analysis/ir_verifier.hpp"
@@ -12,7 +11,6 @@
 #include "common/error.hpp"
 #include "core/compile_cache.hpp"
 #include "ir/passes.hpp"
-#include "srclint/inject.hpp"
 #include "srclint/srclint.hpp"
 
 namespace clflow::core {
@@ -85,108 +83,15 @@ std::string IoDesc(const ir::ChannelIO& io) {
   return s;
 }
 
-}  // namespace
-
-Deployment Deployment::Compile(const graph::Graph& g,
-                               const DeployOptions& options) {
-  Deployment d;
-  // Fail fast on malformed hardening knobs (CLF507): a watchdog of zero or
-  // a zero retry budget would otherwise surface as a confusing runtime
-  // fault on the first batch.
-  ocl::ValidateRuntimeOptions(options.runtime);
-  d.options_ = options;
-  d.telemetry_ = std::make_shared<obs::Telemetry>();
-  d.diags_ =
-      std::make_shared<analysis::DiagnosticEngine>(&d.telemetry_->registry);
-  d.flightrec_ = std::make_shared<telemetry::FlightRecorder>(
-      options.flightrec_capacity);
-  for (const auto& [code, severity] : options.analysis.severity_overrides) {
-    d.diags_->OverrideSeverity(code, severity);
-  }
-  // Route Registry::Current()/Tracer::Current() -- and with them every IR
-  // pass applied while lowering -- into this deployment's telemetry.
-  obs::ScopedTelemetry scoped(d.telemetry_.get());
-  obs::Tracer* tracer = &d.telemetry_->tracer;
-  // Every IR node this compile builds (lowering, schedule passes, analysis
-  // rewrites) is bump-allocated from one arena; nodes that escape into the
-  // CompileCache keep the arena alive through their control blocks, so the
-  // scope can end with the compile.
-  auto ir_arena = std::make_shared<common::Arena>();
-  common::ArenaScope arena_scope(ir_arena);
-  {
-    obs::ScopedSpan span(tracer, "fusion");
-    const auto before = static_cast<std::int64_t>(g.nodes().size());
-    d.fused_ = graph::FuseOperators(g);
-    const auto after = static_cast<std::int64_t>(d.fused_.nodes().size());
-    span.Arg("nodes_before", before);
-    span.Arg("nodes_after", after);
-    d.telemetry_->registry.counter("compile.nodes_fused")
-        .Add(static_cast<double>(before - after));
-  }
-  try {
-    obs::ScopedSpan span(tracer, "lowering");
-    // Gate every schedule primitive applied while lowering: a pass
-    // composition that produces malformed IR aborts at the pass that
-    // produced it, not at some downstream symptom.
-    std::optional<ir::ScopedPassVerifier> pass_gate;
-    if (options.analysis.verify) {
-      pass_gate.emplace([&d](const ir::Stmt& result, const char* pass) {
-        const int before = d.diags_->error_count();
-        analysis::VerifyStmt(result, *d.diags_);
-        if (d.diags_->error_count() > before) {
-          throw VerifyError("IR verifier rejected the result of pass " +
-                            std::string(pass) + ":\n" + d.diags_->ToText());
-        }
-      });
-    }
-    if (options.mode == ExecutionMode::kPipelined) {
-      d.PlanPipelined(options.recipe);
-    } else {
-      d.PlanFolded(options.recipe);
-    }
-    span.Arg("kernels", static_cast<std::int64_t>(d.kernels_.size()));
-    span.Arg("invocations",
-             static_cast<std::int64_t>(d.invocations_.size()));
-  } catch (const VerifyError& e) {
-    // Compile-time postmortem: the rejected pass's diagnostics go out
-    // through the same flight-recorder dump as a runtime fault would.
-    d.flightrec_->Note("fault", "VerifyError", {}, e.what());
-    d.DumpFlightRecorder();
-    throw;
-  }
-  d.AssignQueues();
-  try {
-    if (options.analysis.verify) d.RunAnalysisGate();
-  } catch (const VerifyError& e) {
-    d.flightrec_->Note("fault", "VerifyError", {}, e.what());
-    d.DumpFlightRecorder();
-    throw;
-  }
-  {
-    obs::ScopedSpan span(tracer, "synthesis");
-    d.SynthesizeAll();
-    span.Arg("status",
-             std::string(fpga::SynthStatusName(d.bitstream_.status)));
-  }
-  d.telemetry_->registry.gauge("compile.arena.bytes")
-      .Set(static_cast<double>(ir_arena->bytes_used()));
-  d.telemetry_->registry.gauge("compile.arena.nodes")
-      .Set(static_cast<double>(ir_arena->num_allocations()));
-  d.RecordCompileMetrics();
-  if (d.ok()) {
-    obs::ScopedSpan span(tracer, "prepare_runtime");
-    d.PrepareRuntime();
-  }
-  return d;
-}
 
 // ---------------------------------------------------------------------------
 // Pipelined planning (LeNet-class networks, SS6.3.1)
 
-void Deployment::PlanPipelined(const OptimizationRecipe& recipe) {
+void PlanPipelined(CompiledDesign& d) {
+  const OptimizationRecipe& recipe = d.options.recipe;
   // The pipelined planner requires a linear chain of single-consumer nodes.
-  const auto consumers = fused_.ConsumerMap();
-  for (const Node& n : fused_.nodes()) {
+  const auto consumers = d.fused.ConsumerMap();
+  for (const Node& n : d.fused.nodes()) {
     if (consumers[static_cast<std::size_t>(n.id)].size() > 1 ||
         n.inputs.size() > 1) {
       throw ScheduleError(
@@ -207,9 +112,9 @@ void Deployment::PlanPipelined(const OptimizationRecipe& recipe) {
   // Pre-create channels for every interior edge.
   std::unordered_map<NodeId, ir::BufferPtr> out_channel;
   if (recipe.channels) {
-    for (const Node& n : fused_.nodes()) {
+    for (const Node& n : d.fused.nodes()) {
       if (n.kind == OpKind::kInput) continue;
-      if (n.id == fused_.output_id()) continue;
+      if (n.id == d.fused.output_id()) continue;
       auto chan = ir::MakeBuffer("ch_" + n.name, {ir::IntImm(1)},
                                  ir::MemScope::kChannel);
       chan->channel_depth = n.output_shape.NumElements();
@@ -217,9 +122,9 @@ void Deployment::PlanPipelined(const OptimizationRecipe& recipe) {
     }
   }
 
-  for (const Node& n : fused_.nodes()) {
+  for (const Node& n : d.fused.nodes()) {
     if (n.kind == OpKind::kInput) continue;
-    const Node& src = fused_.node(n.inputs[0]);
+    const Node& src = d.fused.node(n.inputs[0]);
     ir::ChannelIO io;
     if (recipe.channels) {
       if (src.kind != OpKind::kInput) io.input = out_channel.at(src.id);
@@ -232,7 +137,7 @@ void Deployment::PlanPipelined(const OptimizationRecipe& recipe) {
     const std::string kname = "k_" + n.name;
     obs::ScopedSpan lower_span("lower:" + kname, "lower");
     const bool implicit_unroll =
-        naive && options_.board.auto_unrolls_small_loops;
+        naive && d.options.board.auto_unrolls_small_loops;
 
     switch (n.kind) {
       case OpKind::kConv2d:
@@ -319,21 +224,22 @@ void Deployment::PlanPipelined(const OptimizationRecipe& recipe) {
     }
 
     PlannedInvocation inv;
-    inv.kernel_index = static_cast<int>(kernels_.size());
+    inv.kernel_index = static_cast<int>(d.kernels.size());
     inv.node = n.id;
     inv.stats = ir::AnalyzeKernel(pk.built.kernel);
     inv.autorun = pk.built.kernel.autorun;
     if (io.input) inv.reads_channels.push_back(io.input->name);
     if (io.output) inv.writes_channels.push_back(io.output->name);
-    kernels_.push_back(std::move(pk));
-    invocations_.push_back(std::move(inv));
+    d.kernels.push_back(std::move(pk));
+    d.invocations.push_back(std::move(inv));
   }
 }
 
 // ---------------------------------------------------------------------------
 // Folded planning (MobileNet/ResNet-class networks, SS6.3.2)
 
-void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
+void PlanFolded(CompiledDesign& d) {
+  const OptimizationRecipe& recipe = d.options.recipe;
   CLFLOW_CHECK_MSG(!recipe.channels && !recipe.autorun,
                    "channels/autorun do not apply to folded execution "
                    "(Table 4.1)");
@@ -344,17 +250,17 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
   NodeId tail_start = -1;
   if (recipe.pipeline_tail) {
     NodeId last_conv = -1;
-    for (const Node& n : fused_.nodes()) {
+    for (const Node& n : d.fused.nodes()) {
       if (n.kind == OpKind::kConv2d || n.kind == OpKind::kDepthwiseConv2d ||
           n.kind == OpKind::kAdd || n.kind == OpKind::kPad) {
         last_conv = n.id;
       }
     }
-    const auto consumers = fused_.ConsumerMap();
-    bool chain_ok = last_conv >= 0 && last_conv < fused_.output_id();
-    for (NodeId id = last_conv + 1; chain_ok && id <= fused_.output_id();
+    const auto consumers = d.fused.ConsumerMap();
+    bool chain_ok = last_conv >= 0 && last_conv < d.fused.output_id();
+    for (NodeId id = last_conv + 1; chain_ok && id <= d.fused.output_id();
          ++id) {
-      const Node& n = fused_.node(id);
+      const Node& n = d.fused.node(id);
       chain_ok = n.inputs.size() == 1 &&
                  consumers[static_cast<std::size_t>(id)].size() <= 1;
     }
@@ -362,10 +268,10 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
   }
   std::unordered_map<NodeId, ir::BufferPtr> tail_channel;
   if (tail_start >= 0) {
-    for (NodeId id = tail_start; id < fused_.output_id(); ++id) {
-      auto chan = ir::MakeBuffer("ch_" + fused_.node(id).name,
+    for (NodeId id = tail_start; id < d.fused.output_id(); ++id) {
+      auto chan = ir::MakeBuffer("ch_" + d.fused.node(id).name,
                                  {ir::IntImm(1)}, ir::MemScope::kChannel);
-      chan->channel_depth = fused_.node(id).output_shape.NumElements();
+      chan->channel_depth = d.fused.node(id).output_shape.NumElements();
       tail_channel[id] = chan;
     }
   }
@@ -380,9 +286,9 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
     return recipe.conv_large;
   };
 
-  for (const Node& n : fused_.nodes()) {
+  for (const Node& n : d.fused.nodes()) {
     if (n.kind == OpKind::kInput) continue;
-    const Node& src = fused_.node(n.inputs[0]);
+    const Node& src = d.fused.node(n.inputs[0]);
     const Shape& in_shape = src.output_shape;
     PlannedInvocation inv;
     inv.node = n.id;
@@ -392,8 +298,8 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
                       const std::function<PlannedKernel()>& make) {
       auto it = group_kernel.find(key);
       if (it != group_kernel.end()) return it->second;
-      const int index = static_cast<int>(kernels_.size());
-      kernels_.push_back(make());
+      const int index = static_cast<int>(d.kernels.size());
+      d.kernels.push_back(make());
       group_kernel[key] = index;
       return index;
     };
@@ -457,13 +363,13 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
           // a pure function of (spec, sched, name), so candidates sharing a
           // conv configuration share one BuildConv2dKernel (folded conv
           // kernels never take the tail autorun mutation below).
-          if (options_.compile_cache) {
+          if (d.options.compile_cache) {
             if (auto hit =
-                    options_.compile_cache->LookupKernel(pk.content_key)) {
+                    d.options.compile_cache->LookupKernel(pk.content_key)) {
               pk.built = std::move(*hit);
             } else {
               pk.built = ir::BuildConv2dKernel(spec, sched, kname);
-              options_.compile_cache->InsertKernel(pk.content_key, pk.built);
+              d.options.compile_cache->InsertKernel(pk.content_key, pk.built);
             }
           } else {
             pk.built = ir::BuildConv2dKernel(spec, sched, kname);
@@ -476,7 +382,7 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
           return pk;
         });
 
-        const auto& built = kernels_[static_cast<std::size_t>(
+        const auto& built = d.kernels[static_cast<std::size_t>(
                                          inv.kernel_index)].built;
         BindParam(built, "C1", in_shape.channels(), inv.bindings);
         BindParam(built, "HW", in_shape.height(), inv.bindings);
@@ -523,7 +429,7 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
           pk.op_class = "pad";
           return pk;
         });
-        const auto& built = kernels_[static_cast<std::size_t>(
+        const auto& built = d.kernels[static_cast<std::size_t>(
                                          inv.kernel_index)].built;
         BindParam(built, "C1", in_shape.channels(), inv.bindings);
         BindParam(built, "HW", in_shape.height(), inv.bindings);
@@ -551,7 +457,7 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
           pk.op_class = "add";
           return pk;
         });
-        const auto& built = kernels_[static_cast<std::size_t>(
+        const auto& built = d.kernels[static_cast<std::size_t>(
                                          inv.kernel_index)].built;
         BindParam(built, "N", elems, inv.bindings);
         break;
@@ -569,7 +475,7 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
                 ? LargestDivisorLE(spec.c1, recipe.dense_unroll_folded)
                 : 1;
         sched.input_cache = recipe.fuse_and_cache || io.input != nullptr;
-        inv.kernel_index = static_cast<int>(kernels_.size());
+        inv.kernel_index = static_cast<int>(d.kernels.size());
         PlannedKernel pk;
         pk.content_key = "dense|k_" + n.name + '|' +
                          std::to_string(spec.c1) + '|' +
@@ -582,7 +488,7 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
         pk.built = ir::BuildDenseKernel(spec, sched, "k_" + n.name, io);
         pk.op_class = "dense";
         pk.tiling_desc = "k unroll " + std::to_string(sched.unroll_k);
-        kernels_.push_back(std::move(pk));
+        d.kernels.push_back(std::move(pk));
         break;
       }
       case OpKind::kMaxPool:
@@ -594,7 +500,7 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
                           .f = n.window,
                           .stride = n.stride,
                           .is_max = n.kind == OpKind::kMaxPool};
-        inv.kernel_index = static_cast<int>(kernels_.size());
+        inv.kernel_index = static_cast<int>(d.kernels.size());
         PlannedKernel pk;
         pk.content_key = "pool|k_" + n.name + '|' + std::to_string(spec.c) +
                          '|' + std::to_string(spec.h1) + '|' +
@@ -606,12 +512,12 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
         pk.built = ir::BuildPoolKernel(
             spec, {.optimized = recipe.fuse_and_cache}, "k_" + n.name, io);
         pk.op_class = spec.is_max ? "maxpool" : "avgpool";
-        kernels_.push_back(std::move(pk));
+        d.kernels.push_back(std::move(pk));
         break;
       }
       case OpKind::kSoftmax: {
         ir::ChannelIO io = TailIo(n.id, tail_start, tail_channel);
-        inv.kernel_index = static_cast<int>(kernels_.size());
+        inv.kernel_index = static_cast<int>(d.kernels.size());
         PlannedKernel pk;
         pk.content_key = "softmax|k_" + n.name + '|' +
                          std::to_string(in_shape.NumElements()) + '|' +
@@ -620,19 +526,19 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
                                           recipe.fuse_and_cache,
                                           "k_" + n.name, io);
         pk.op_class = "softmax";
-        kernels_.push_back(std::move(pk));
+        d.kernels.push_back(std::move(pk));
         break;
       }
       case OpKind::kFlatten: {
         ir::ChannelIO io = TailIo(n.id, tail_start, tail_channel);
-        inv.kernel_index = static_cast<int>(kernels_.size());
+        inv.kernel_index = static_cast<int>(d.kernels.size());
         PlannedKernel pk;
         pk.content_key = "copy|k_" + n.name + '|' +
                          std::to_string(in_shape.NumElements()) + IoDesc(io);
         pk.built = ir::BuildCopyKernel(in_shape.NumElements(), "k_" + n.name,
                                        io);
         pk.op_class = "flatten";
-        kernels_.push_back(std::move(pk));
+        d.kernels.push_back(std::move(pk));
         break;
       }
       default:
@@ -643,8 +549,8 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
     // Hybrid tail: record channel endpoints and autorun weightless
     // kernels (no dispatch).
     if (tail_start >= 0 && inv.node >= tail_start) {
-      auto& pk = kernels_[static_cast<std::size_t>(inv.kernel_index)];
-      auto in_it = tail_channel.find(fused_.node(inv.node).inputs[0]);
+      auto& pk = d.kernels[static_cast<std::size_t>(inv.kernel_index)];
+      auto in_it = tail_channel.find(d.fused.node(inv.node).inputs[0]);
       if (in_it != tail_channel.end()) {
         inv.reads_channels.push_back(in_it->second->name);
       }
@@ -664,92 +570,50 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
     // the lowering results. The key covers the kernel's content key, the
     // tail autorun mutation above, and the bindings.
     const PlannedKernel& planned =
-        kernels_[static_cast<std::size_t>(inv.kernel_index)];
-    if (options_.compile_cache && !planned.content_key.empty()) {
+        d.kernels[static_cast<std::size_t>(inv.kernel_index)];
+    if (d.options.compile_cache && !planned.content_key.empty()) {
       const std::string skey = CompileCache::StatsKeyFor(
           planned.content_key, planned.built.kernel.autorun, inv.bindings);
-      if (auto hit = options_.compile_cache->LookupStats(skey)) {
+      if (auto hit = d.options.compile_cache->LookupStats(skey)) {
         inv.stats = std::move(*hit);
       } else {
         inv.stats = ir::AnalyzeKernel(planned.built.kernel, inv.bindings);
-        options_.compile_cache->InsertStats(skey, inv.stats);
+        d.options.compile_cache->InsertStats(skey, inv.stats);
       }
     } else {
       inv.stats = ir::AnalyzeKernel(planned.built.kernel, inv.bindings);
     }
-    invocations_.push_back(std::move(inv));
+    d.invocations.push_back(std::move(inv));
   }
 }
 
-// ---------------------------------------------------------------------------
-
-void Deployment::SynthesizeAll() {
-  std::vector<bool> seen(kernels_.size(), false);
-  // Representative bindings: first invocation of each kernel.
-  std::vector<ir::Bindings> rep(kernels_.size());
-  for (const auto& inv : invocations_) {
-    const auto idx = static_cast<std::size_t>(inv.kernel_index);
-    if (!seen[idx]) {
-      seen[idx] = true;
-      rep[idx] = inv.bindings;
+void AssignQueues(CompiledDesign& d) {
+  // Queue assignment happens at compile time (not in PrepareRuntime) so the
+  // dataflow checker can reason about launch ordering before a runtime
+  // exists: every in-order-queue deadlock and cross-queue hazard is a
+  // property of this mapping.
+  d.invocation_queues.assign(d.invocations.size(), 0);
+  d.num_queues = 1;
+  const bool ce = d.options.recipe.concurrent_execution &&
+                  d.options.recipe.channels;
+  if (ce) {
+    for (std::size_t i = 0; i < d.invocations.size(); ++i) {
+      if (d.invocations[i].autorun) continue;
+      // The first kernel shares queue 0 with the input write so the
+      // in-order queue sequences it after the transfer.
+      d.invocation_queues[i] = i == 0 ? 0 : d.num_queues++;
     }
   }
-  if (!options_.compile_cache) {
-    std::vector<fpga::SynthInput> inputs;
-    inputs.reserve(kernels_.size());
-    for (std::size_t i = 0; i < kernels_.size(); ++i) {
-      inputs.push_back({&kernels_[i].built.kernel, rep[i]});
-    }
-    bitstream_ = fpga::Synthesize(inputs, options_.board, options_.recipe.aoc,
-                                  options_.cost_model);
-    return;
-  }
-  // Cached path: per-kernel designs are board-independent, so each is
-  // looked up by content fingerprint and only misses pay the synthesis
-  // cost; AssembleBitstream (totals, fit, route, fmax) is cheap and always
-  // runs against this deployment's board.
-  CompileCache& cache = *options_.compile_cache;
-  obs::Registry& reg = telemetry_->registry;
-  std::vector<fpga::KernelDesign> designs;
-  designs.reserve(kernels_.size());
-  for (std::size_t i = 0; i < kernels_.size(); ++i) {
-    const ir::Kernel& kernel = kernels_[i].built.kernel;
-    // Content-addressable kernels (folded planner) are fingerprinted by
-    // their schedule content key -- a string hash; only kernels without
-    // one (pipelined planner) pay a codegen run for the fingerprint.
-    const auto key =
-        kernels_[i].content_key.empty()
-            ? CompileCache::DesignKeyFor(kernel, rep[i], options_.recipe.aoc,
-                                         options_.cost_model)
-            : CompileCache::DesignKeyFromContent(
-                  cache.InternKey(kernels_[i].content_key), kernel.autorun,
-                  kernel.name, rep[i], options_.recipe.aoc,
-                  options_.cost_model);
-    if (auto hit = cache.LookupDesign(key)) {
-      hit->kernel = &kernel;  // cached copies carry no deployment pointer
-      designs.push_back(std::move(*hit));
-      reg.counter("compile.cache.hits").Add(1.0);
-      continue;
-    }
-    designs.push_back(fpga::SynthesizeKernelDesign(
-        {&kernel, rep[i]}, options_.recipe.aoc, options_.cost_model));
-    cache.InsertDesign(key, designs.back());
-    reg.counter("compile.cache.misses").Add(1.0);
-  }
-  bitstream_ = fpga::AssembleBitstream(std::move(designs), options_.board,
-                                       options_.recipe.aoc,
-                                       options_.cost_model);
 }
 
-void Deployment::RecordCompileMetrics() {
-  obs::Registry& reg = telemetry_->registry;
-  reg.gauge("compile.kernels").Set(static_cast<double>(kernels_.size()));
+void RecordCompileMetrics(const CompiledDesign& d, obs::Registry& reg) {
+  reg.gauge("compile.kernels").Set(static_cast<double>(d.kernels.size()));
   reg.gauge("compile.invocations")
-      .Set(static_cast<double>(invocations_.size()));
-  reg.gauge("synth.ok").Set(ok() ? 1.0 : 0.0);
-  reg.gauge("synth.fmax_mhz").Set(bitstream_.fmax_mhz);
-  reg.gauge("synth.routing_pressure").Set(bitstream_.routing_pressure);
-  const fpga::ResourceTotals& t = bitstream_.totals;
+      .Set(static_cast<double>(d.invocations.size()));
+  reg.gauge("synth.ok").Set(d.ok() ? 1.0 : 0.0);
+  reg.gauge("synth.fmax_mhz").Set(d.bitstream.fmax_mhz);
+  reg.gauge("synth.routing_pressure").Set(d.bitstream.routing_pressure);
+  const fpga::ResourceTotals& t = d.bitstream.totals;
   reg.gauge("synth.aluts").Set(static_cast<double>(t.aluts));
   reg.gauge("synth.ffs").Set(static_cast<double>(t.ffs));
   reg.gauge("synth.brams").Set(static_cast<double>(t.brams));
@@ -758,7 +622,7 @@ void Deployment::RecordCompileMetrics() {
   reg.gauge("synth.bram_frac").Set(t.bram_frac);
   reg.gauge("synth.dsp_frac").Set(t.dsp_frac);
   std::int64_t lsus = 0, nonseq = 0;
-  for (const auto& k : bitstream_.kernels) {
+  for (const auto& k : d.bitstream.kernels) {
     lsus += k.lsu_count;
     nonseq += k.nonseq_lsu_count;
     reg.histogram("synth.kernel.aluts").Observe(static_cast<double>(k.aluts));
@@ -769,39 +633,22 @@ void Deployment::RecordCompileMetrics() {
   reg.gauge("synth.nonseq_lsu_count").Set(static_cast<double>(nonseq));
 }
 
-void Deployment::AssignQueues() {
-  // Queue assignment happens at compile time (not in PrepareRuntime) so the
-  // dataflow checker can reason about launch ordering before a runtime
-  // exists: every in-order-queue deadlock and cross-queue hazard is a
-  // property of this mapping.
-  invocation_queues_.assign(invocations_.size(), 0);
-  num_queues_ = 1;
-  const bool ce = options_.recipe.concurrent_execution &&
-                  options_.recipe.channels;
-  if (ce) {
-    for (std::size_t i = 0; i < invocations_.size(); ++i) {
-      if (invocations_[i].autorun) continue;
-      // The first kernel shares queue 0 with the input write so the
-      // in-order queue sequences it after the transfer.
-      invocation_queues_[i] = i == 0 ? 0 : num_queues_++;
-    }
-  }
-}
+}  // namespace
 
-analysis::Plan Deployment::AnalysisPlan() const {
+analysis::Plan CompiledDesign::AnalysisPlan() const {
   analysis::Plan plan;
   std::unordered_map<NodeId, int> step_of_node;
-  for (std::size_t i = 0; i < invocations_.size(); ++i) {
-    step_of_node[invocations_[i].node] = static_cast<int>(i);
+  for (std::size_t i = 0; i < invocations.size(); ++i) {
+    step_of_node[invocations[i].node] = static_cast<int>(i);
   }
-  for (std::size_t i = 0; i < invocations_.size(); ++i) {
-    const auto& inv = invocations_[i];
+  for (std::size_t i = 0; i < invocations.size(); ++i) {
+    const auto& inv = invocations[i];
     const ir::Kernel& kernel =
-        kernels_[static_cast<std::size_t>(inv.kernel_index)].built.kernel;
+        kernels[static_cast<std::size_t>(inv.kernel_index)].built.kernel;
     analysis::PlanStep step;
     step.kernel = kernel.name;
-    step.queue = i < invocation_queues_.size()
-                     ? invocation_queues_[i]
+    step.queue = i < invocation_queues.size()
+                     ? invocation_queues[i]
                      : 0;
     step.autorun = inv.autorun;
     step.num_args = static_cast<std::int64_t>(kernel.buffer_args.size() +
@@ -809,7 +656,7 @@ analysis::Plan Deployment::AnalysisPlan() const {
     step.channel_writes = inv.stats.channel_writes;
     step.reads = inv.reads_channels;
     step.writes = inv.writes_channels;
-    for (NodeId in : fused_.node(inv.node).inputs) {
+    for (NodeId in : fused.node(inv.node).inputs) {
       auto it = step_of_node.find(in);
       if (it != step_of_node.end()) step.deps.push_back(it->second);
     }
@@ -824,71 +671,258 @@ analysis::Plan Deployment::AnalysisPlan() const {
   return plan;
 }
 
-void Deployment::RunAnalysisGate() {
-  obs::Tracer* tracer = &telemetry_->tracer;
+std::string CompiledDesign::Source() const {
+  std::vector<const ir::Kernel*> ks;
+  ks.reserve(kernels.size());
+  for (const auto& pk : kernels) ks.push_back(&pk.built.kernel);
+  return codegen::EmitProgram(ks);
+}
+
+CompiledDesign Deployment::Plan(const graph::Graph& g,
+                                const DeployOptions& options) {
+  CompiledDesign d;
+  d.options = options;
   {
-    obs::ScopedSpan span(tracer, "verify");
+    obs::ScopedSpan span("fusion");
+    const auto before = static_cast<std::int64_t>(g.nodes().size());
+    d.fused = graph::FuseOperators(g);
+    const auto after = static_cast<std::int64_t>(d.fused.nodes().size());
+    span.Arg("nodes_before", before);
+    span.Arg("nodes_after", after);
+    obs::Registry::Current()
+        ->counter("compile.nodes_fused")
+        .Add(static_cast<double>(before - after));
+  }
+  {
+    obs::ScopedSpan span("lowering");
+    if (options.mode == ExecutionMode::kPipelined) {
+      PlanPipelined(d);
+    } else {
+      PlanFolded(d);
+    }
+    span.Arg("kernels", static_cast<std::int64_t>(d.kernels.size()));
+    span.Arg("invocations", static_cast<std::int64_t>(d.invocations.size()));
+  }
+  AssignQueues(d);
+  return d;
+}
+
+void Deployment::Gate(const CompiledDesign& design, const std::string& source,
+                      analysis::DiagnosticEngine& diags) {
+  {
+    obs::ScopedSpan span("verify");
     int errors = 0;
-    for (const auto& pk : kernels_) {
-      errors += analysis::VerifyKernel(pk.built.kernel, *diags_);
+    for (const auto& pk : design.kernels) {
+      errors += analysis::VerifyKernel(pk.built.kernel, diags);
     }
     span.Arg("errors", static_cast<std::int64_t>(errors));
   }
+  std::vector<const ir::Kernel*> kernels;
+  kernels.reserve(design.kernels.size());
+  for (const auto& pk : design.kernels) kernels.push_back(&pk.built.kernel);
   {
-    obs::ScopedSpan span(tracer, "lint");
-    const analysis::Plan plan = AnalysisPlan();
-    analysis::CheckDataflow(plan, *diags_);
-    analysis::LintPlan(plan, *diags_);
+    obs::ScopedSpan span("lint");
+    const analysis::Plan plan = design.AnalysisPlan();
+    analysis::CheckDataflow(plan, diags);
+    analysis::LintPlan(plan, diags);
     // Lint each distinct kernel once, with the stats of its first
     // invocation (representative bindings, as synthesis uses).
-    std::vector<bool> linted(kernels_.size(), false);
-    for (const auto& inv : invocations_) {
+    std::vector<bool> linted(kernels.size(), false);
+    for (const auto& inv : design.invocations) {
       const auto idx = static_cast<std::size_t>(inv.kernel_index);
       if (linted[idx]) continue;
       linted[idx] = true;
-      analysis::LintKernel(kernels_[idx].built.kernel, &inv.stats, *diags_);
+      analysis::LintKernel(*kernels[idx], &inv.stats, diags);
     }
-    span.Arg("errors", static_cast<std::int64_t>(diags_->error_count()));
-    span.Arg("warnings", static_cast<std::int64_t>(diags_->warning_count()));
+    span.Arg("errors", static_cast<std::int64_t>(diags.error_count()));
+    span.Arg("warnings", static_cast<std::int64_t>(diags.warning_count()));
   }
-  if (options_.analysis.lint_source) {
-    // Translation validation: re-parse the .cl text the emitter just
-    // produced and prove it matches the plan (CLF8xx). This is the only
-    // gate that checks the *source* rather than the IR, so an emitter
-    // bug cannot ship a kernel the static analyses never saw.
-    obs::ScopedSpan span(tracer, "srclint");
-    std::vector<const ir::Kernel*> kernels;
-    kernels.reserve(kernels_.size());
-    for (const auto& pk : kernels_) kernels.push_back(&pk.built.kernel);
-    std::string source = codegen::EmitProgram(kernels);
-    if (!options_.analysis.srclint_inject.empty()) {
-      if (auto corrupted = srclint::InjectDefect(
-              options_.analysis.srclint_inject, source)) {
-        source = std::move(*corrupted);
-      }
-    }
-    srclint::LintProgram(source, kernels, *diags_);
+  {
+    // Translation validation: re-parse the .cl text and prove it matches
+    // the plan (CLF8xx). This is the only check of the *source* rather
+    // than the IR, so an emitter bug cannot ship a kernel the static
+    // analyses never saw.
+    obs::ScopedSpan span("srclint");
+    srclint::LintProgram(source, kernels, diags);
     span.Arg("bytes", static_cast<std::int64_t>(source.size()));
-    span.Arg("errors", static_cast<std::int64_t>(diags_->error_count()));
+    span.Arg("errors", static_cast<std::int64_t>(diags.error_count()));
   }
-  diags_->MirrorToTrace(telemetry_->tracer);
-  if (diags_->HasErrors()) {
+  if (obs::Tracer* tracer = obs::Tracer::Current()) {
+    diags.MirrorToTrace(*tracer);
+  }
+  if (diags.HasErrors()) {
     throw VerifyError("static analysis rejected the deployment plan:\n" +
-                      diags_->ToText());
+                      diags.ToText());
   }
 }
 
+void Deployment::Synthesize(CompiledDesign& d) {
+  std::vector<bool> seen(d.kernels.size(), false);
+  // Representative bindings: first invocation of each kernel.
+  std::vector<ir::Bindings> rep(d.kernels.size());
+  for (const auto& inv : d.invocations) {
+    const auto idx = static_cast<std::size_t>(inv.kernel_index);
+    if (!seen[idx]) {
+      seen[idx] = true;
+      rep[idx] = inv.bindings;
+    }
+  }
+  if (!d.options.compile_cache) {
+    std::vector<fpga::SynthInput> inputs;
+    inputs.reserve(d.kernels.size());
+    for (std::size_t i = 0; i < d.kernels.size(); ++i) {
+      inputs.push_back({&d.kernels[i].built.kernel, rep[i]});
+    }
+    d.bitstream = fpga::Synthesize(inputs, d.options.board,
+                                   d.options.recipe.aoc, d.options.cost_model);
+    return;
+  }
+  // Cached path: per-kernel designs are board-independent, so each is
+  // looked up by content fingerprint and only misses pay the synthesis
+  // cost; AssembleBitstream (totals, fit, route, fmax) is cheap and always
+  // runs against this deployment's board.
+  CompileCache& cache = *d.options.compile_cache;
+  obs::Registry& reg = *obs::Registry::Current();
+  std::vector<fpga::KernelDesign> designs;
+  designs.reserve(d.kernels.size());
+  for (std::size_t i = 0; i < d.kernels.size(); ++i) {
+    const ir::Kernel& kernel = d.kernels[i].built.kernel;
+    // Content-addressable kernels (folded planner) are fingerprinted by
+    // their schedule content key -- a string hash; only kernels without
+    // one (pipelined planner) pay a codegen run for the fingerprint.
+    const auto key =
+        d.kernels[i].content_key.empty()
+            ? CompileCache::DesignKeyFor(kernel, rep[i], d.options.recipe.aoc,
+                                         d.options.cost_model)
+            : CompileCache::DesignKeyFromContent(
+                  cache.InternKey(d.kernels[i].content_key), kernel.autorun,
+                  kernel.name, rep[i], d.options.recipe.aoc,
+                  d.options.cost_model);
+    if (auto hit = cache.LookupDesign(key)) {
+      hit->kernel = &kernel;  // cached copies carry no deployment pointer
+      designs.push_back(std::move(*hit));
+      reg.counter("compile.cache.hits").Add(1.0);
+      continue;
+    }
+    designs.push_back(fpga::SynthesizeKernelDesign(
+        {&kernel, rep[i]}, d.options.recipe.aoc, d.options.cost_model));
+    cache.InsertDesign(key, designs.back());
+    reg.counter("compile.cache.misses").Add(1.0);
+  }
+  d.bitstream = fpga::AssembleBitstream(std::move(designs), d.options.board,
+                                        d.options.recipe.aoc,
+                                        d.options.cost_model);
+}
+
+Deployment::Deployment(const DeployOptions& options,
+                       std::string flightrec_path)
+    : flightrec_path_(std::move(flightrec_path)),
+      telemetry_(std::make_shared<obs::Telemetry>()),
+      diags_(std::make_shared<analysis::DiagnosticEngine>(
+          &telemetry_->registry)),
+      flightrec_(std::make_shared<telemetry::FlightRecorder>(
+          options.flightrec_capacity)) {
+  for (const auto& [code, severity] : options.analysis.severity_overrides) {
+    diags_->OverrideSeverity(code, severity);
+  }
+}
+
+Deployment::Deployment(std::shared_ptr<const CompiledDesign> design,
+                       std::string flightrec_path)
+    : Deployment(design->options, std::move(flightrec_path)) {
+  design_ = std::move(design);
+  for (const analysis::Diagnostic& diag : design_->diagnostics) {
+    diags_->Report(diag);
+  }
+  PrepareRuntime();
+}
+
+Deployment Deployment::Instantiate(std::string flightrec_path) const {
+  return Deployment(design_, std::move(flightrec_path));
+}
+
+Deployment Deployment::Compile(const graph::Graph& g,
+                               const DeployOptions& options) {
+  // Fail fast on malformed hardening knobs (CLF507): a watchdog of zero or
+  // a zero retry budget would otherwise surface as a confusing runtime
+  // fault on the first batch.
+  ocl::ValidateRuntimeOptions(options.runtime);
+  Deployment d(options, options.flightrec_path);
+  // Route Registry::Current()/Tracer::Current() -- and with them every
+  // stage and every IR pass applied while lowering -- into this
+  // deployment's telemetry.
+  obs::ScopedTelemetry scoped(d.telemetry_.get());
+  // Every IR node this compile builds (lowering, schedule passes, analysis
+  // rewrites) is bump-allocated from one arena; nodes that escape into the
+  // CompileCache keep the arena alive through their control blocks, so the
+  // scope can end with the compile.
+  auto ir_arena = std::make_shared<common::Arena>();
+  common::ArenaScope arena_scope(ir_arena);
+  auto design = std::make_shared<CompiledDesign>();
+  try {
+    {
+      // Gate every schedule primitive applied while lowering: a pass
+      // composition that produces malformed IR aborts at the pass that
+      // produced it, not at some downstream symptom.
+      ir::ScopedPassVerifier pass_gate(
+          [&d](const ir::Stmt& result, const char* pass) {
+            const int before = d.diags_->error_count();
+            (void)analysis::VerifyStmt(result, *d.diags_);
+            if (d.diags_->error_count() > before) {
+              throw VerifyError("IR verifier rejected the result of pass " +
+                                std::string(pass) + ":\n" +
+                                d.diags_->ToText());
+            }
+          });
+      *design = Plan(g, options);
+    }
+    Gate(*design, design->Source(), *d.diags_);
+  } catch (const VerifyError& e) {
+    // Compile-time postmortem: the rejected pass's diagnostics go out
+    // through the same flight-recorder dump as a runtime fault would.
+    d.flightrec_->Note("fault", "VerifyError", {}, e.what());
+    d.DumpFlightRecorder();
+    throw;
+  }
+  {
+    obs::ScopedSpan span("synthesis");
+    Synthesize(*design);
+    span.Arg("status",
+             std::string(fpga::SynthStatusName(design->bitstream.status)));
+  }
+  obs::Registry& reg = d.telemetry_->registry;
+  reg.gauge("compile.arena.bytes")
+      .Set(static_cast<double>(ir_arena->bytes_used()));
+  reg.gauge("compile.arena.nodes")
+      .Set(static_cast<double>(ir_arena->num_allocations()));
+  RecordCompileMetrics(*design, reg);
+  design->diagnostics = d.diags_->diagnostics();
+  for (const obs::SpanRecord& span : d.telemetry_->tracer.spans()) {
+    // Top-level compile spans only: the gate's mirrored diagnostics are
+    // depth-0 spans too, in category "diag".
+    if (span.depth == 0 && span.category == "compile") {
+      design->phase_spans.push_back(span);
+    }
+  }
+  d.design_ = std::move(design);
+  d.PrepareRuntime();
+  return d;
+}
+
 void Deployment::PrepareRuntime() {
-  runtime_ = std::make_unique<ocl::Runtime>(bitstream_, options_.cost_model,
-                                            options_.runtime);
+  if (!ok()) return;
+  obs::ScopedSpan span(&telemetry_->tracer, "prepare_runtime");
+  const CompiledDesign& d = *design_;
+  runtime_ = std::make_unique<ocl::Runtime>(d.bitstream, d.options.cost_model,
+                                            d.options.runtime);
   runtime_->set_flight_recorder(flightrec_.get());
   input_buffer_ = runtime_->CreateBuffer(
-      fused_.node(fused_.input_id()).output_shape.NumElements());
+      d.fused.node(d.fused.input_id()).output_shape.NumElements());
   output_buffer_ = runtime_->CreateBuffer(
-      fused_.node(fused_.output_id()).output_shape.NumElements());
+      d.fused.node(d.fused.output_id()).output_shape.NumElements());
   // Materialize the compile-time queue assignment (AssignQueues); queue 0
   // exists at runtime construction.
-  for (int q = 1; q < num_queues_; ++q) {
+  for (int q = 1; q < d.num_queues; ++q) {
     const int created = runtime_->CreateQueue();
     CLFLOW_CHECK_MSG(created == q, "queue ids diverged from the plan");
   }
@@ -896,8 +930,8 @@ void Deployment::PrepareRuntime() {
 
 ocl::KernelLaunch Deployment::MakeLaunch(const PlannedInvocation& inv,
                                          bool functional) {
-  const PlannedKernel& pk = kernels_[static_cast<std::size_t>(
-                                         inv.kernel_index)];
+  const PlannedKernel& pk =
+      design_->kernels[static_cast<std::size_t>(inv.kernel_index)];
   ocl::KernelLaunch launch;
   launch.name = pk.built.kernel.name;
   launch.stats = inv.stats;
@@ -906,13 +940,14 @@ ocl::KernelLaunch Deployment::MakeLaunch(const PlannedInvocation& inv,
   if (functional) {
     const NodeId node_id = inv.node;
     launch.functional = [this, node_id] {
-      const Node& n = fused_.node(node_id);
+      const graph::Graph& fused = design_->fused;
+      const Node& n = fused.node(node_id);
       std::vector<Tensor> inputs;
       inputs.reserve(n.inputs.size());
       for (NodeId in : n.inputs) inputs.push_back(acts_.at(in));
       Tensor out =
-          graph::ExecuteNode(n, inputs, options_.functional_threads);
-      if (node_id == fused_.output_id()) {
+          graph::ExecuteNode(n, inputs, design_->options.functional_threads);
+      if (node_id == fused.output_id()) {
         const auto src = out.data();
         auto dst = output_buffer_->view();
         std::copy(src.begin(), src.end(), dst.begin());
@@ -924,7 +959,7 @@ ocl::KernelLaunch Deployment::MakeLaunch(const PlannedInvocation& inv,
 }
 
 void Deployment::DumpFlightRecorder() const {
-  if (options_.flightrec_path.empty() || flightrec_ == nullptr) return;
+  if (flightrec_path_.empty() || flightrec_ == nullptr) return;
   // Mirror the accumulated diagnostics so the dump stands alone: the
   // postmortem reader gets CLF codes next to the command stream without
   // needing the process's diagnostics output.
@@ -949,18 +984,19 @@ void Deployment::DumpFlightRecorder() const {
   // path, later ones get ".1", ".2", ... so a run with several escaping
   // faults never overwrites an earlier crash's evidence.
   flightrec_->DumpToFile(
-      telemetry::SequencedDumpPath(options_.flightrec_path,
+      telemetry::SequencedDumpPath(flightrec_path_,
                                    flightrec_dumps_++));
 }
 
 RunResult Deployment::Run(const Tensor& input, bool functional) {
   if (!ok()) {
     throw RuntimeApiError("deployment did not synthesize: " +
-                          bitstream_.status_detail);
+                          design_->bitstream.status_detail);
   }
+  const CompiledDesign& d = *design_;
   if (functional) {
     acts_.clear();
-    acts_[fused_.input_id()] = input;
+    acts_[d.fused.input_id()] = input;
   }
 
   const std::int64_t reprograms_before = runtime_->reprograms();
@@ -977,20 +1013,20 @@ RunResult Deployment::Run(const Tensor& input, bool functional) {
   try {
     runtime_->EnqueueWrite(0, input_buffer_, input.data(), "write_input");
     int last_queue = 0;
-    for (std::size_t i = 0; i < invocations_.size(); ++i) {
-      const auto& inv = invocations_[i];
+    for (std::size_t i = 0; i < d.invocations.size(); ++i) {
+      const auto& inv = d.invocations[i];
       ocl::KernelLaunch launch = MakeLaunch(inv, functional);
       if (inv.autorun) {
         runtime_->RunAutorun(std::move(launch));
       } else {
-        const int q = invocation_queues_[i];
+        const int q = d.invocation_queues[i];
         runtime_->EnqueueKernel(q, std::move(launch));
         last_queue = q;
       }
     }
 
     const std::int64_t out_elems =
-        fused_.node(fused_.output_id()).output_shape.NumElements();
+        d.fused.node(d.fused.output_id()).output_shape.NumElements();
     result.output = Tensor(Shape{out_elems});
     runtime_->EnqueueRead(last_queue, output_buffer_, result.output.data(),
                           "read_output");
@@ -1038,8 +1074,8 @@ double Deployment::EstimateFps(const Tensor& input,
                                bool verify_against_reference) {
   if (verify_against_reference) {
     RunResult r = Run(input, /*functional=*/true);
-    Tensor expected = graph::Execute(fused_, input,
-                                     options_.functional_threads);
+    Tensor expected = graph::Execute(design_->fused, input,
+                                     design_->options.functional_threads);
     Tensor got = r.output.Reshaped(expected.shape());
     if (!Tensor::AllClose(got, expected, 1e-3f, 1e-4f)) {
       throw Error("FPGA functional output diverges from the reference (max "
@@ -1057,14 +1093,15 @@ std::vector<OpProfileEntry> Deployment::ProfileOps() {
   }
   std::map<std::string, OpProfileEntry> by_class;
   SimTime total;
-  for (const auto& inv : invocations_) {
-    const auto& pk = kernels_[static_cast<std::size_t>(inv.kernel_index)];
+  const CompiledDesign& d = *design_;
+  for (const auto& inv : d.invocations) {
+    const auto& pk = d.kernels[static_cast<std::size_t>(inv.kernel_index)];
     OpProfileEntry& e = by_class[pk.op_class];
     e.op_class = pk.op_class;
-    e.flops += graph::NodeCost(fused_.node(inv.node), fused_).flops;
-    const SimTime t = fpga::InvocationTime(inv.stats, options_.board,
-                                           bitstream_.fmax_mhz,
-                                           options_.cost_model);
+    e.flops += graph::NodeCost(d.fused.node(inv.node), d.fused).flops;
+    const SimTime t = fpga::InvocationTime(inv.stats, d.options.board,
+                                           d.bitstream.fmax_mhz,
+                                           d.options.cost_model);
     e.kernel_time += t;
     total += t;
   }
@@ -1115,10 +1152,7 @@ EventBreakdown Deployment::ProfileEvents(const Tensor& input) {
 
 std::string Deployment::GeneratedSource() const {
   obs::ScopedSpan span(&telemetry_->tracer, "codegen");
-  std::vector<const ir::Kernel*> kernels;
-  kernels.reserve(kernels_.size());
-  for (const auto& pk : kernels_) kernels.push_back(&pk.built.kernel);
-  std::string source = codegen::EmitProgram(kernels);
+  std::string source = design_->Source();
   span.Arg("bytes", static_cast<std::int64_t>(source.size()));
   return source;
 }
@@ -1126,7 +1160,7 @@ std::string Deployment::GeneratedSource() const {
 ocl::Runtime& Deployment::runtime() const {
   if (!runtime_) {
     throw RuntimeApiError("deployment did not synthesize: " +
-                          bitstream_.status_detail);
+                          design_->bitstream.status_detail);
   }
   return *runtime_;
 }
@@ -1138,15 +1172,16 @@ void Deployment::ExportRuntimeMetrics(obs::Registry& registry,
   // representative binding per kernel; the schedule re-analyzes every
   // invocation, so parameterized (folded) kernels diverge when layer
   // shapes differ from the representative.
-  for (const auto& kd : bitstream_.kernels) {
+  const fpga::Bitstream& bitstream = design_->bitstream;
+  for (const auto& kd : bitstream.kernels) {
     auto it = runtime_->kernel_usage().find(kd.name);
     if (it == runtime_->kernel_usage().end() ||
         it->second.invocations == 0) {
       continue;
     }
     const SimTime predicted = fpga::InvocationTime(
-        kd.static_stats, bitstream_.board, bitstream_.fmax_mhz,
-        options_.cost_model);
+        kd.static_stats, bitstream.board, bitstream.fmax_mhz,
+        design_->options.cost_model);
     const double observed_us =
         it->second.total.us() / static_cast<double>(it->second.invocations);
     obs::Labels labels = base_labels;

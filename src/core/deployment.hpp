@@ -6,6 +6,13 @@
 // the AOC model, and -- when the design fits and routes -- produces a
 // runnable deployment whose Run() performs functional inference (verified
 // numbers) under a simulated-time schedule.
+//
+// Compile once, instantiate many: as AOC compiles a design offline into
+// one bitstream that the host then programs onto boards, the compile's
+// product is an immutable CompiledDesign and a Deployment is one runtime
+// instance over it. Compile is a fixed composition of explicit stages
+// (Plan, Gate, Synthesize, instantiation); DSE composes the same stages
+// without the gate, and ha::ReplicaSet instantiates one design per board.
 #pragma once
 
 #include <cstdint>
@@ -30,25 +37,16 @@ namespace clflow::core {
 
 class CompileCache;
 
-/// Controls the static-analysis gate that runs inside Compile.
+/// Controls the static-analysis gate that runs inside Compile: the IR
+/// verifier after every schedule primitive, then the dataflow checker,
+/// perf linter and source lint (clflow::srclint, the CLF8xx family) on the
+/// finished plan. Error-severity findings abort compilation with
+/// VerifyError.
 struct AnalysisOptions {
-  /// Run the IR verifier after every schedule primitive and the dataflow
-  /// checker / perf linter on the finished plan. Error-severity findings
-  /// abort compilation with VerifyError.
-  bool verify = true;
-  /// Re-parse the emitted OpenCL source and prove it matches the plan
-  /// (clflow::srclint, the CLF8xx family). Runs inside the same gate as
-  /// `verify`; error-severity findings abort compilation with VerifyError.
-  bool lint_source = true;
   /// Per-code severity overrides ("CLF301" -> kError promotes a lint to a
   /// compile failure; "CLF203" -> kWarning demotes a deadlock check for
   /// experiments that knowingly violate it on the simulator).
   std::map<std::string, analysis::Severity> severity_overrides;
-  /// Test/demo hook: corrupts the emitted source with the named
-  /// srclint::InjectDefect mode before the in-gate lint runs, proving the
-  /// gate rejects a broken emission (mirrors `flow_inspector
-  /// --srclint-inject`). Empty (the default) lints the real emission.
-  std::string srclint_inject;
 };
 
 struct DeployOptions {
@@ -77,7 +75,8 @@ struct DeployOptions {
   /// writes a file -- tests that intentionally inject faults stay quiet.
   /// The second and later dumps of one deployment get a monotonic sequence
   /// suffix (telemetry::SequencedDumpPath) so no postmortem overwrites a
-  /// previous one.
+  /// previous one. This is the path of the instance Compile returns;
+  /// Deployment::Instantiate takes its own.
   std::string flightrec_path;
   /// Ring capacity of the flight recorder (events retained at dump time).
   std::size_t flightrec_capacity = telemetry::FlightRecorder::kDefaultCapacity;
@@ -128,29 +127,92 @@ struct PlannedInvocation {
   std::vector<std::string> writes_channels;
 };
 
+/// The immutable product of compilation, shared by every Deployment
+/// instantiated from it.
+struct CompiledDesign {
+  DeployOptions options;
+  graph::Graph fused;
+  std::vector<PlannedKernel> kernels;
+  std::vector<PlannedInvocation> invocations;
+  /// Command-queue assignment per invocation (parallel to invocations);
+  /// autorun invocations keep their planned id but never touch a queue.
+  /// The profiler uses this to rebuild per-queue occupancy from the event
+  /// stream.
+  std::vector<int> invocation_queues;
+  int num_queues = 1;
+  /// Set by the synthesis stage; inspect it for why a design failed.
+  fpga::Bitstream bitstream;
+  /// What the analysis gate reported (empty when no gate ran).
+  std::vector<analysis::Diagnostic> diagnostics;
+  /// The compile's top-level phase spans (fusion .. synthesis).
+  std::vector<obs::SpanRecord> phase_spans;
+
+  [[nodiscard]] bool ok() const { return bitstream.ok(); }
+  /// The launch plan as the dataflow checker sees it: one PlanStep per
+  /// invocation in enqueue order with queue assignments, channel endpoints,
+  /// and graph dependence edges.
+  [[nodiscard]] analysis::Plan AnalysisPlan() const;
+  /// The OpenCL C translation unit for the whole design.
+  [[nodiscard]] std::string Source() const;
+};
+
+/// One runnable instance of a CompiledDesign: the simulated runtime, I/O
+/// buffers, functional activations, flight recorder, runtime diagnostics,
+/// request counter and run.* telemetry.
 class Deployment {
  public:
+  /// The full flow, a fixed composition of the stages below: Plan (under
+  /// the IR pass verifier) -> Gate -> Synthesize -> a first instance. Its
+  /// telemetry() holds the compile phase spans and metrics.
   [[nodiscard]] static Deployment Compile(const graph::Graph& g,
                                           const DeployOptions& options);
 
+  // --- Compile stages. Plan and Synthesize record their spans and metrics
+  // into the ambient obs::Registry/Tracer (see obs::ScopedTelemetry).
+
+  /// Fusion, lowering (pipelined or folded planner) and queue assignment.
+  [[nodiscard]] static CompiledDesign Plan(const graph::Graph& g,
+                                           const DeployOptions& options);
+  /// The static-analysis gate: IR verifier, dataflow checker and perf
+  /// lints over the plan, then srclint's translation validation of the
+  /// emitted `source` against it. Throws VerifyError when `diags` holds an
+  /// error afterwards.
+  static void Gate(const CompiledDesign& design, const std::string& source,
+                   analysis::DiagnosticEngine& diags);
+  /// Synthesizes every kernel with the AOC model into design.bitstream.
+  static void Synthesize(CompiledDesign& design);
+
+  /// The instantiation stage: a fresh instance over `design` (a runtime
+  /// only when the design synthesized). Its flight recorder dumps to
+  /// `flightrec_path` on an escaping fault; empty never writes a file.
+  explicit Deployment(std::shared_ptr<const CompiledDesign> design,
+                      std::string flightrec_path = {});
+  /// A fresh instance over this deployment's design. Faults, events and
+  /// counters of one instance never reach another.
+  [[nodiscard]] Deployment Instantiate(std::string flightrec_path = {}) const;
+
+  [[nodiscard]] const CompiledDesign& design() const { return *design_; }
   /// False when synthesis failed (fit/route); inspect bitstream() for why.
-  [[nodiscard]] bool ok() const { return bitstream_.ok(); }
-  [[nodiscard]] const fpga::Bitstream& bitstream() const { return bitstream_; }
-  [[nodiscard]] const graph::Graph& fused_graph() const { return fused_; }
-  [[nodiscard]] const DeployOptions& options() const { return options_; }
+  [[nodiscard]] bool ok() const { return design_->ok(); }
+  [[nodiscard]] const fpga::Bitstream& bitstream() const {
+    return design_->bitstream;
+  }
+  [[nodiscard]] const graph::Graph& fused_graph() const {
+    return design_->fused;
+  }
+  /// The options the design was compiled with (flightrec_path is per
+  /// instance: see Instantiate).
+  [[nodiscard]] const DeployOptions& options() const {
+    return design_->options;
+  }
   [[nodiscard]] const std::vector<PlannedKernel>& kernels() const {
-    return kernels_;
+    return design_->kernels;
   }
   [[nodiscard]] const std::vector<PlannedInvocation>& invocations() const {
-    return invocations_;
+    return design_->invocations;
   }
-
-  /// Command-queue assignment per invocation (parallel to invocations());
-  /// autorun invocations keep their planned id but never touch a queue.
-  /// Valid when ok(). The profiler uses this to rebuild per-queue
-  /// occupancy from the event stream.
   [[nodiscard]] const std::vector<int>& invocation_queues() const {
-    return invocation_queues_;
+    return design_->invocation_queues;
   }
 
   /// Runs one image. With functional=true the returned output holds real
@@ -170,33 +232,33 @@ class Deployment {
   /// serializes the host, as on real hardware).
   [[nodiscard]] EventBreakdown ProfileEvents(const Tensor& input);
 
-  /// The generated OpenCL C translation unit for the whole design.
+  /// The generated OpenCL C translation unit for the whole design, timed
+  /// as a "codegen" span in telemetry().
   [[nodiscard]] std::string GeneratedSource() const;
 
-  /// Compile-side telemetry: per-phase wall-clock spans (fusion, lowering,
-  /// every IR pass, synthesis) and pass/synthesis metrics. Populated by
-  /// Compile(); always present.
+  /// This instance's telemetry: run.* metrics and, on the instance Compile
+  /// returns, the compile's per-phase wall-clock spans (fusion, lowering,
+  /// every IR pass, gate, synthesis) and pass/synthesis metrics.
   [[nodiscard]] obs::Telemetry& telemetry() const { return *telemetry_; }
 
-  /// Diagnostics accumulated by the static-analysis gate (IR verifier,
-  /// dataflow checker, perf lints). Always present after Compile, even when
-  /// options.analysis.verify is false (then it is simply empty).
+  /// The gate's findings (design().diagnostics) followed by this
+  /// instance's runtime faults and recoveries.
   [[nodiscard]] analysis::DiagnosticEngine& diagnostics() const {
     return *diags_;
   }
 
   /// The flight recorder fed by the runtime's command/fault stream and the
-  /// request boundaries of Run(). Always present after Compile; dumped to
-  /// options().flightrec_path (when set) on an escaping fault.
+  /// request boundaries of Run(); dumped to this instance's flight-recorder
+  /// path (when set) on an escaping fault.
   [[nodiscard]] telemetry::FlightRecorder& flight_recorder() const {
     return *flightrec_;
   }
 
-  /// The launch plan as the dataflow checker sees it: one PlanStep per
-  /// invocation in enqueue order with queue assignments, channel endpoints,
-  /// and graph dependence edges. Exposed so external tools (flow_inspector
+  /// design().AnalysisPlan(); exposed so external tools (flow_inspector
   /// --lint) can re-run or perturb the checks.
-  [[nodiscard]] analysis::Plan AnalysisPlan() const;
+  [[nodiscard]] analysis::Plan AnalysisPlan() const {
+    return design_->AnalysisPlan();
+  }
 
   /// The live simulated runtime (valid when ok()); exposes the profiled
   /// event stream and accumulated queue/channel/transfer metrics.
@@ -210,23 +272,19 @@ class Deployment {
                             const obs::Labels& base_labels = {}) const;
 
  private:
-  Deployment() = default;
+  /// Per-instance state without a design or runtime yet.
+  Deployment(const DeployOptions& options, std::string flightrec_path);
 
-  void PlanPipelined(const OptimizationRecipe& recipe);
-  void PlanFolded(const OptimizationRecipe& recipe);
-  void SynthesizeAll();
-  void RecordCompileMetrics();
-  void AssignQueues();
-  void RunAnalysisGate();
   void PrepareRuntime();
   /// Mirrors accumulated diagnostics into the recorder and writes it to
-  /// options_.flightrec_path (no-op when the path is empty). Reports
-  /// CLF703 when the ring dropped events. Never throws (runs in catches).
+  /// flightrec_path_ (no-op when the path is empty). Reports CLF703 when
+  /// the ring dropped events. Never throws (runs in catches).
   void DumpFlightRecorder() const;
   [[nodiscard]] ocl::KernelLaunch MakeLaunch(const PlannedInvocation& inv,
                                              bool functional);
 
-  DeployOptions options_;
+  std::shared_ptr<const CompiledDesign> design_;
+  std::string flightrec_path_;
   std::shared_ptr<obs::Telemetry> telemetry_;
   std::shared_ptr<analysis::DiagnosticEngine> diags_;
   std::shared_ptr<telemetry::FlightRecorder> flightrec_;
@@ -235,17 +293,11 @@ class Deployment {
   mutable std::uint64_t flightrec_dumps_ = 0;
   /// Request counter backing RunResult::trace_id (first Run = 1).
   std::uint64_t next_trace_id_ = 0;
-  graph::Graph fused_;
-  std::vector<PlannedKernel> kernels_;
-  std::vector<PlannedInvocation> invocations_;
-  fpga::Bitstream bitstream_;
 
   // Runtime state (valid when ok()).
   std::unique_ptr<ocl::Runtime> runtime_;
   ocl::BufferPtr input_buffer_;
   ocl::BufferPtr output_buffer_;
-  std::vector<int> invocation_queues_;
-  int num_queues_ = 1;
   /// Functional activation map, rebuilt per functional run.
   std::unordered_map<graph::NodeId, Tensor> acts_;
 };

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "obs/metrics.hpp"
@@ -174,8 +175,7 @@ SweepFamilies AnalyzeFamilies(const graph::Graph& fused) {
 DeployOptions CandidateDeployOptions(const DseCandidate& cand,
                                      const fpga::BoardSpec& board,
                                      const fpga::CostModel& model,
-                                     std::shared_ptr<CompileCache> cache,
-                                     bool verify) {
+                                     std::shared_ptr<CompileCache> cache) {
   OptimizationRecipe recipe;
   recipe.name = "dse-cand";
   recipe.fuse_and_cache = true;
@@ -191,13 +191,30 @@ DeployOptions CandidateDeployOptions(const DseCandidate& cand,
   dep.board = board;
   dep.cost_model = model;
   dep.compile_cache = std::move(cache);
-  dep.analysis.verify = verify;
-  dep.analysis.lint_source = verify;
   return dep;
 }
 
-/// Compiles `cand` purely for its cache side effects and accounts the
-/// hit/miss deltas. The compiled Deployment is discarded.
+/// Plan -> Synthesize -> instance: candidates are ranked by synthesis
+/// alone, so they skip the analysis gate (the winning recipe gets it when
+/// the caller compiles it). As in Deployment::Compile, the candidate's IR
+/// goes to its own arena and its spans and metrics to its own telemetry,
+/// never the caller's.
+Deployment EvaluateCandidate(const graph::Graph& fused,
+                             const DeployOptions& options) {
+  std::shared_ptr<CompiledDesign> design;
+  {
+    obs::Telemetry telemetry;
+    obs::ScopedTelemetry scoped(&telemetry);
+    common::ArenaScope arena_scope(std::make_shared<common::Arena>());
+    design =
+        std::make_shared<CompiledDesign>(Deployment::Plan(fused, options));
+    Deployment::Synthesize(*design);
+  }
+  return Deployment(std::move(design));
+}
+
+/// Evaluates `cand` purely for its cache side effects and accounts the
+/// hit/miss deltas. The Deployment is discarded.
 DsePrewarmStats PrewarmCandidate(const graph::Graph& fused,
                                  const DseCandidate& cand,
                                  const fpga::BoardSpec& board,
@@ -206,9 +223,8 @@ DsePrewarmStats PrewarmCandidate(const graph::Graph& fused,
   DsePrewarmStats stats;
   const CompileCacheStats before = cache->stats();
   const auto t0 = std::chrono::steady_clock::now();
-  (void)Deployment::Compile(
-      fused,
-      CandidateDeployOptions(cand, board, model, cache, /*verify=*/false));
+  (void)EvaluateCandidate(
+      fused, CandidateDeployOptions(cand, board, model, cache));
   const auto t1 = std::chrono::steady_clock::now();
   stats.wall_us = std::chrono::duration<double, std::micro>(t1 - t0).count();
   stats.compiles = 1;
@@ -332,7 +348,7 @@ DseResult ExploreFoldedTilings(const graph::Graph& g,
   // redundantly. Seed the cache with one representative candidate first
   // (serially); the counters and ranking are untouched -- the prewarmed
   // candidate is still evaluated below, now against a warm cache.
-  if (cache && options.prewarm_shared_cache && jobs > 1 && !order.empty()) {
+  if (cache && jobs > 1 && !order.empty()) {
     result.prewarm = PrewarmCandidate(fused, survivors[order.front()], board,
                                       model, cache);
   }
@@ -359,10 +375,9 @@ DseResult ExploreFoldedTilings(const graph::Graph& g,
                   const std::size_t s = batch[static_cast<std::size_t>(bi)];
                   Eval& e = evals[s];
                   e.cand = survivors[s];
-                  auto d = Deployment::Compile(
-                      fused, CandidateDeployOptions(
-                                 e.cand, board, model, cache,
-                                 options.verify_candidates));
+                  auto d = EvaluateCandidate(
+                      fused,
+                      CandidateDeployOptions(e.cand, board, model, cache));
                   e.cand.status = d.bitstream().status;
                   e.cand.status_detail = d.bitstream().status_detail;
                   if (e.cand.status == fpga::SynthStatus::kOk) {

@@ -19,10 +19,13 @@
 //     survivors compile on `jobs` worker threads and merge back in
 //     enumeration order, so DseResult is bit-identical for any `jobs`
 //     (ranking, rejection counters, status strings);
+//   * each candidate runs Deployment's Plan and Synthesize stages without
+//     the analysis gate (a candidate is ranked by synthesis alone; the
+//     winning recipe gets the gate when the caller compiles it);
 //   * a CompileCache (content-hashed lowering + synthesis memoization,
 //     core/compile_cache.hpp) is threaded through every candidate's
-//     Deployment::Compile, so the conv3x3/conv_dw/pad/dense kernels every
-//     candidate shares are compiled once per sweep;
+//     stages, so the conv3x3/conv_dw/pad/dense kernels every candidate
+//     shares are compiled once per sweep;
 //   * a closed-form DSP/ALUT lower bound (BoundFoldedCandidate) rejects
 //     hopeless candidates before any IR is built (`rejected_bound`), and
 //     an optional dominance filter skips candidates whose unroll widths
@@ -93,33 +96,21 @@ struct DseOptions {
   /// inline). Thread count never changes the result: enumeration and
   /// filtering happen serially first, compiles land in per-candidate
   /// slots, and the merge walks them in enumeration order.
+  /// With more than one job and a cache, one representative candidate is
+  /// first evaluated serially so the backbone kernels every candidate
+  /// shares are cache-resident before the workers start; otherwise the
+  /// first parallel batch stampedes the cold cache, every worker missing
+  /// on the same conv3x3/depthwise/dense designs (racing misses may
+  /// compute a design twice). The prewarmed candidate is still evaluated
+  /// and counted like any other, so this never changes the result.
   int jobs = 1;
   /// Memoize per-kernel lowering and synthesis across candidates. Uses
   /// `cache` when set, else the process-wide CompileCache::Shared() (so
   /// the fallback ladder and repeated sweeps share entries).
   bool use_cache = true;
   std::shared_ptr<CompileCache> cache;
-  /// Run the static-analysis gate (IR verifier / dataflow checker / perf
-  /// linter / source lint) on every candidate compile. Off by default:
-  /// candidates are evaluated for synthesis feasibility only (the
-  /// builders emit verified schedules, and the winning recipe gets the
-  /// full analysis gate -- including srclint's emit+reparse -- when the
-  /// caller compiles it), and the gate costs more than a cache-warm
-  /// compile.
-  /// Never affects the ranking -- analysis reads the plan, synthesis
-  /// does not read analysis.
-  bool verify_candidates = false;
   /// Apply BoundFoldedCandidate before compiling (`rejected_bound`).
   bool prune_bound = true;
-  /// When compiling with multiple jobs, first compile one representative
-  /// candidate serially so the backbone kernels every candidate shares
-  /// are cache-resident before the workers start. Without it, the first
-  /// parallel batch stampedes the cold cache: every worker misses on the
-  /// same conv3x3/depthwise/dense designs and compiles them redundantly
-  /// (racing misses are allowed to compute a design twice). Never changes
-  /// the result -- the prewarmed candidate is still evaluated and counted
-  /// exactly like any other; its compile simply hits the warm cache.
-  bool prewarm_shared_cache = true;
   /// Skip candidates whose unroll widths are <= an already-feasible
   /// candidate's in every dimension (and < in at least one), charged as
   /// `rejected_dominated`. Heuristic, off by default: it assumes fps is
@@ -169,7 +160,7 @@ struct DseResult {
   /// may compute a design twice) -- every other field above is.
   CompileCacheStats cache_stats;
   /// In-sweep prewarm activity (zeros when the sweep ran with one job or
-  /// prewarming was disabled).
+  /// without a cache).
   DsePrewarmStats prewarm;
   /// Wall-clock accounting accumulated over the candidate-compile
   /// ParallelFor batches. Machine-dependent ("wall." semantics -- never

@@ -7,9 +7,9 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "core/compile_cache.hpp"
 #include "graph/graph.hpp"
 #include "ha/replica_set.hpp"
 #include "obs/metrics.hpp"
@@ -113,12 +113,8 @@ std::string CheckGaugeConservation(const ReplicaSet& rs) {
 }
 
 void Fnv(std::uint64_t& h, const std::string& s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001B3ull;
-  }
-  h ^= '\n';
-  h *= 0x100000001B3ull;
+  common::FnvBytes(h, s.data(), s.size());
+  common::FnvBytes(h, "\n", 1);
 }
 
 std::string JsonEscape(const std::string& s) {
@@ -140,7 +136,7 @@ std::string JsonEscape(const std::string& s) {
 }  // namespace
 
 std::uint64_t ChaosReport::Digest() const {
-  std::uint64_t h = 0xCBF29CE484222325ull;
+  std::uint64_t h = common::kFnvStandardOffset;
   for (const ChaosScenario& s : scenarios) {
     Fnv(h, std::to_string(s.index));
     Fnv(h, s.fault_desc);
@@ -202,33 +198,27 @@ ChaosReport RunChaosCampaign(const graph::Graph& g,
                    "chaos needs >= 1 batch per scenario");
   CLFLOW_CHECK_MSG(options.max_faults >= 1, "chaos needs max_faults >= 1");
 
-  // One template compile validates the design (full analysis gate as the
-  // caller configured it) and names the kernels faults can target. Every
-  // scenario then recompiles through a shared cache with the gate off.
-  core::DeployOptions tmpl = base_options;
-  if (!tmpl.compile_cache) {
-    tmpl.compile_cache = std::make_shared<core::CompileCache>();
-  }
-  tmpl.flightrec_path.clear();
-  core::Deployment probe = core::Deployment::Compile(g, tmpl);
-  if (!probe.ok()) {
+  // The one compile of the campaign: every scenario instantiates this
+  // design on fresh boards. One functional thread keeps scenarios
+  // deterministic at any jobs setting; the tight watchdog bounds hang
+  // detection.
+  core::DeployOptions opts = base_options;
+  opts.flightrec_path.clear();
+  opts.functional_threads = 1;
+  opts.runtime.watchdog_timeout = options.watchdog_timeout;
+  const core::Deployment compiled = core::Deployment::Compile(g, opts);
+  if (!compiled.ok()) {
     throw Error("chaos campaign: design does not synthesize: " +
-                probe.bitstream().status_detail);
+                compiled.bitstream().status_detail);
   }
   std::vector<std::string> kernels;
-  kernels.reserve(probe.kernels().size());
-  for (const auto& pk : probe.kernels()) {
+  kernels.reserve(compiled.kernels().size());
+  for (const auto& pk : compiled.kernels()) {
     kernels.push_back(pk.built.kernel.name);
   }
   CLFLOW_CHECK_MSG(!kernels.empty(), "design has no kernels to fault");
-  const graph::Graph oracle_graph = probe.fused_graph();
+  const graph::Graph& oracle_graph = compiled.fused_graph();
   const Shape in_shape = g.node(g.input_id()).output_shape;
-
-  core::DeployOptions sopts = tmpl;
-  sopts.analysis.verify = false;
-  sopts.analysis.lint_source = false;
-  sopts.functional_threads = 1;  // determinism at any jobs setting
-  sopts.runtime.watchdog_timeout = options.watchdog_timeout;
 
   ChaosReport report;
   report.scenarios.resize(static_cast<std::size_t>(options.scenarios));
@@ -273,7 +263,7 @@ ChaosReport RunChaosCampaign(const graph::Graph& g,
             ha.flightrec_prefix =
                 options.flightrec_prefix + "s" + std::to_string(i) + "_";
           }
-          ReplicaSet rs(g, sopts, ha);
+          ReplicaSet rs(compiled, ha);
           for (int b = 0; b < options.replicas; ++b) {
             rs.set_fault_injector(
                 b, std::make_shared<resilience::FaultInjector>(

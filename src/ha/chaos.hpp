@@ -3,7 +3,8 @@
 // A campaign sweeps seeded resilience::FaultPlan scenarios -- each a
 // random mix of transfer failures/corruptions, kernel hangs/corruptions,
 // fmax droop, and device resets, scattered across the replicas of a fresh
-// ReplicaSet -- and asserts four recovery invariants on every scenario:
+// ReplicaSet over the campaign's one compiled design -- and asserts four
+// recovery invariants on every scenario:
 //
 //   1. bit-exactness: every recovered batch matches the CPU graph oracle
 //      exactly (std::equal on the raw floats, not AllClose);
@@ -85,11 +86,10 @@ struct ChaosReport {
   [[nodiscard]] std::string SummaryTable() const;
 };
 
-/// Runs a chaos campaign for `g`. `base_options` supplies the board /
-/// recipe / cost model; the campaign overrides the analysis gate (the
-/// design is verified once up front), functional threading (forced to 1
-/// for determinism), and the runtime watchdog. Throws clflow::Error when
-/// the design itself does not compile.
+/// Runs a chaos campaign for `g`, compiled once (full analysis gate) from
+/// `base_options` with functional threading forced to 1 (determinism) and
+/// the runtime watchdog set to `options.watchdog_timeout`. Throws
+/// clflow::Error when the design itself does not compile.
 [[nodiscard]] ChaosReport RunChaosCampaign(const graph::Graph& g,
                                            const core::DeployOptions& base_options,
                                            const ChaosOptions& options = {});

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "core/compile_cache.hpp"
 #include "telemetry/flight_recorder.hpp"
 
 namespace clflow::ha {
@@ -30,42 +29,30 @@ std::string BoardTag(int board) {
 
 ReplicaSet::ReplicaSet(const graph::Graph& g,
                        const core::DeployOptions& options, HaOptions ha)
+    : ReplicaSet(core::Deployment::Compile(g, options), std::move(ha)) {}
+
+ReplicaSet::ReplicaSet(const core::Deployment& compiled, HaOptions ha)
     : ha_(std::move(ha)),
       telemetry_(std::make_shared<obs::Telemetry>()),
       diags_(std::make_shared<analysis::DiagnosticEngine>(
-          &telemetry_->registry)),
-      base_options_(options),
-      graph_(g) {
+          &telemetry_->registry)) {
   CLFLOW_CHECK_MSG(ha_.replicas >= 1, "ReplicaSet needs >= 1 replica");
   CLFLOW_CHECK_MSG(ha_.quarantine_after >= 1,
                    "quarantine_after must be >= 1");
   CLFLOW_CHECK_MSG(ha_.cooldown_batches >= 1,
                    "cooldown_batches must be >= 1");
-  // Clone compiles share a cache: the replicas are the same design, so
-  // boards 1..N-1 reuse board 0's per-kernel lowering and synthesis.
-  core::DeployOptions opts = base_options_;
-  if (!opts.compile_cache) {
-    opts.compile_cache = std::make_shared<core::CompileCache>();
+  if (!compiled.ok()) {
+    throw Error("ReplicaSet: design does not synthesize: " +
+                compiled.bitstream().status_detail);
   }
+  // Every board programs the same bitstream: one compiled design, one
+  // fresh runtime instance per board.
   replicas_.reserve(static_cast<std::size_t>(ha_.replicas));
   for (int b = 0; b < ha_.replicas; ++b) {
-    core::DeployOptions bopts = opts;
-    bopts.flightrec_path =
+    replicas_.push_back(compiled.Instantiate(
         ha_.flightrec_prefix.empty()
             ? std::string()
-            : ha_.flightrec_prefix + BoardTag(b) + "_flightrec.json";
-    if (b > 0) {
-      // The design was already verified and source-linted once on board 0
-      // (or by the caller); clone compiles skip the redundant gate.
-      bopts.analysis.verify = false;
-      bopts.analysis.lint_source = false;
-    }
-    core::Deployment d = core::Deployment::Compile(graph_, bopts);
-    if (!d.ok()) {
-      throw Error("ReplicaSet: design does not synthesize on " +
-                  BoardTag(b) + ": " + d.bitstream().status_detail);
-    }
-    replicas_.push_back(std::move(d));
+            : ha_.flightrec_prefix + BoardTag(b) + "_flightrec.json"));
   }
   boards_.resize(replicas_.size());
   baselines_.resize(replicas_.size());
@@ -200,13 +187,14 @@ void ReplicaSet::TickCooldowns() {
 core::Deployment& ReplicaSet::EnsureFallback() {
   if (fallback_) return *fallback_;
   obs::ScopedSpan span(&telemetry_->tracer, "ha:fallback_compile", "ha");
-  core::DeployOptions fo = base_options_;
+  core::DeployOptions fo = replicas_.front().options();
   fo.mode = core::ExecutionMode::kFolded;
   fo.recipe = core::FoldedBase();
   fo.flightrec_path = ha_.flightrec_prefix.empty()
                           ? std::string()
                           : ha_.flightrec_prefix + "fallback_flightrec.json";
-  core::FallbackResult res = core::CompileWithFallback(graph_, fo);
+  core::FallbackResult res =
+      core::CompileWithFallback(replicas_.front().fused_graph(), fo);
   if (!res.ok()) {
     throw Error("ReplicaSet: every replica is quarantined and the folded "
                 "fallback ladder found no synthesizable design");

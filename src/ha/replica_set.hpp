@@ -1,9 +1,10 @@
 // High-availability execution layer (ROADMAP item 2: a board reset must
 // fail over to a replica instead of taking the deployment down).
 //
-// A ReplicaSet programs the same compiled design onto N simulated boards
-// (one core::Deployment, hence one ocl::Runtime, per board) and routes
-// batches through a health-driven dispatcher:
+// A ReplicaSet programs one compiled design onto N simulated boards: the
+// design compiles once, and each board is a fresh core::Deployment
+// instance over it (Deployment::Instantiate, hence one ocl::Runtime per
+// board). It routes batches through a health-driven dispatcher:
 //
 //   * per-board health state machine
 //         healthy -> degraded -> quarantined -> recovering -> healthy
@@ -118,12 +119,14 @@ struct HaRunResult {
 
 class ReplicaSet {
  public:
-  /// Compiles `g` onto `ha.replicas` boards. Board 0 compiles with
-  /// `options` as given (full analysis gate); boards 1..N-1 reuse a shared
-  /// CompileCache and skip the redundant re-verification of the identical
-  /// design. Throws when the design does not synthesize.
+  /// Compiles `g` once (Deployment::Compile, full analysis gate) and
+  /// delegates to the constructor below.
   ReplicaSet(const graph::Graph& g, const core::DeployOptions& options,
              HaOptions ha = {});
+  /// Instantiates `compiled`'s design on `ha.replicas` boards; no compile
+  /// runs, and `compiled` itself is left untouched. Throws when the design
+  /// does not synthesize.
+  explicit ReplicaSet(const core::Deployment& compiled, HaOptions ha = {});
 
   [[nodiscard]] int num_replicas() const {
     return static_cast<int>(replicas_.size());
@@ -236,8 +239,6 @@ class ReplicaSet {
   SimTime max_detection_;
   std::shared_ptr<obs::Telemetry> telemetry_;
   std::shared_ptr<analysis::DiagnosticEngine> diags_;
-  core::DeployOptions base_options_;
-  graph::Graph graph_;  ///< for the lazy fallback compile
   std::optional<core::Deployment> fallback_;
 };
 

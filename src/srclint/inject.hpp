@@ -2,8 +2,8 @@
 //
 // Every srclint code needs a repro command (the registry fix-its name
 // them); these helpers are the single implementation behind
-// `flow_inspector --srclint-inject MODE`, the Compile-gate demo hook
-// (AnalysisOptions::srclint_inject), and the injected-defect tests.
+// `flow_inspector --srclint-inject MODE` and the injected-defect tests
+// (which hand corrupted text to Deployment::Gate).
 //
 // Corruption modes rewrite a real emission so translation validation
 // fails:   parse -> CLF800   sig -> CLF801   chan-endpoint -> CLF802

@@ -601,14 +601,6 @@ TEST(DeploymentGate, PromotedLintAbortsCompilation) {
                VerifyError);
 }
 
-TEST(DeploymentGate, DisabledGateSkipsAnalysis) {
-  core::AnalysisOptions analysis;
-  analysis.verify = false;
-  auto d = CompileLeNet(core::PipelineBase(),
-                        core::ExecutionMode::kPipelined, analysis);
-  EXPECT_TRUE(d.diagnostics().diagnostics().empty());
-}
-
 TEST(DeploymentGate, AnalysisPlanMirrorsInvocations) {
   auto recipe = core::PipelineTvmAutorun();
   recipe.concurrent_execution = true;

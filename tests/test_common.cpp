@@ -10,8 +10,10 @@
 
 #include "common/arena.hpp"
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "common/parallel.hpp"
 #include "common/table.hpp"
+#include "obs/timeseries.hpp"
 
 namespace clflow {
 namespace {
@@ -191,6 +193,30 @@ TEST(ArenaScope, NestsAndFallsBackToHeapOutside) {
   auto p = common::MakeArenaShared<int>(7);
   EXPECT_EQ(*p, 7);
   EXPECT_EQ(outer->bytes_used(), 0u);
+}
+
+TEST(Fnv, KnownAnswers) {
+  // Published FNV-1a 64 vectors, from the standard offset basis.
+  std::uint64_t h = common::kFnvStandardOffset;
+  common::FnvBytes(h, "a", 1);
+  EXPECT_EQ(h, 0xaf63dc4c8601ec8cULL);
+  h = common::kFnvStandardOffset;
+  common::FnvBytes(h, "foobar", 6);
+  EXPECT_EQ(h, 0x85944171f73967e8ULL);
+  // clflow's own seed, which every committed digest derives from.
+  EXPECT_EQ(common::FnvHash(""), 1469598103934665603ULL);
+  EXPECT_EQ(common::FnvHash("a"), 0x44bd8ad473cd9906ULL);
+  EXPECT_EQ(common::FnvHash("clflow"), 0xa9bbb024899e7e3cULL);
+  // FnvMix folds a u64's bytes least significant first.
+  std::uint64_t mixed = common::kFnvOffset;
+  common::FnvMix(mixed, 0x0807060504030201ULL);
+  std::uint64_t bytes = common::kFnvOffset;
+  const unsigned char le[] = {1, 2, 3, 4, 5, 6, 7, 8};
+  common::FnvBytes(bytes, le, sizeof(le));
+  EXPECT_EQ(mixed, bytes);
+  // The obs digests use the same primitive.
+  EXPECT_EQ(&obs::detail::FnvMix, &common::FnvMix);
+  EXPECT_EQ(obs::detail::kFnvOffset, common::kFnvOffset);
 }
 
 TEST(StringInterner, DeduplicatesAndPrecomputesHash) {

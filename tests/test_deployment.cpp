@@ -3,10 +3,15 @@
 // board, and functional equivalence with the reference execution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "core/deployment.hpp"
 #include "nets/nets.hpp"
+#include "resilience/fault.hpp"
 
 namespace clflow::core {
 namespace {
@@ -140,6 +145,47 @@ TEST_F(LeNetDeployment, GeneratedSourceIsCompleteProgram) {
   EXPECT_NE(src.find("__kernel void k_conv1"), std::string::npos);
   EXPECT_NE(src.find("__kernel void k_softmax"), std::string::npos);
   EXPECT_NE(src.find("__attribute__((autorun))"), std::string::npos);
+}
+
+TEST_F(LeNetDeployment, InstantiatedCopyRunsTheSameDesignIndependently) {
+  Deployment d = Deploy(PipelineTvmAutorun(), fpga::Stratix10SX(), true);
+  // The design keeps the compile's top-level phases, in order.
+  std::vector<std::string> phases;
+  for (const auto& span : d.design().phase_spans) phases.push_back(span.name);
+  EXPECT_EQ(phases, (std::vector<std::string>{"fusion", "lowering", "verify",
+                                              "lint", "srclint",
+                                              "synthesis"}));
+  Deployment copy = d.Instantiate();
+  EXPECT_EQ(&copy.design(), &d.design());
+  EXPECT_EQ(&copy.kernels(), &d.kernels());
+  EXPECT_NE(&copy.runtime(), &d.runtime());
+
+  const RunResult a = d.Run(*image_);
+  const RunResult b = copy.Run(*image_);
+  const auto as = a.output.data();
+  const auto bs = b.output.data();
+  ASSERT_EQ(as.size(), bs.size());
+  EXPECT_TRUE(std::equal(as.begin(), as.end(), bs.begin()));
+  EXPECT_EQ(a.latency, b.latency);
+  EXPECT_EQ(a.trace_id, b.trace_id);
+
+  // ClearEvents on one instance leaves the other's event stream alone.
+  const std::size_t events = copy.runtime().events().size();
+  ASSERT_GT(events, 0u);
+  d.runtime().ClearEvents();
+  EXPECT_TRUE(d.runtime().events().empty());
+  EXPECT_EQ(copy.runtime().events().size(), events);
+
+  // A fault injected into one instance never reaches the other.
+  resilience::FaultPlan plan;
+  plan.specs.push_back(resilience::ParseFaultSpec("xfer-fail:write:0:2"));
+  d.runtime().set_fault_injector(
+      std::make_shared<resilience::FaultInjector>(plan));
+  const RunResult faulted = d.Run(*image_, /*functional=*/false);
+  const RunResult clean = copy.Run(*image_, /*functional=*/false);
+  EXPECT_GT(d.runtime().xfer_retries(), 0);
+  EXPECT_EQ(copy.runtime().xfer_retries(), 0);
+  EXPECT_GT(faulted.latency, clean.latency);
 }
 
 TEST_F(LeNetDeployment, RunOnFailedDeploymentThrows) {

@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "core/compile_cache.hpp"
 #include "graph/graph.hpp"
 #include "ha/chaos.hpp"
 #include "ha/replica_set.hpp"
@@ -345,6 +346,38 @@ TEST(Ha, RejectsDegenerateOptions) {
   EXPECT_THROW(ReplicaSet(net, LenetOptions(), bad), Error);
 }
 
+TEST(Ha, BoardsShareOneCompiledDesign) {
+  Rng rng(7);
+  graph::Graph net = nets::BuildLeNet5(rng);
+  // The cache counts synthesis lookups: one per kernel per compile.
+  auto cache = std::make_shared<core::CompileCache>();
+  core::DeployOptions opts = LenetOptions();
+  opts.compile_cache = cache;
+  HaOptions ha;
+  ha.replicas = 3;
+  ReplicaSet rs(net, opts, ha);
+  for (int b = 1; b < rs.num_replicas(); ++b) {
+    EXPECT_EQ(&rs.replica(0).kernels(), &rs.replica(b).kernels());
+    EXPECT_NE(&rs.replica(0).runtime(), &rs.replica(b).runtime());
+  }
+  const core::CompileCacheStats stats = cache->stats();
+  EXPECT_EQ(stats.design_hits + stats.design_misses,
+            static_cast<std::int64_t>(rs.replica(0).kernels().size()));
+
+  // The compiled-design constructor instantiates without compiling, and
+  // leaves the deployment it was given alone.
+  const core::Deployment compiled = core::Deployment::Compile(net, opts);
+  const core::CompileCacheStats before = cache->stats();
+  ReplicaSet again(compiled, ha);
+  EXPECT_EQ(&again.replica(2).kernels(), &compiled.kernels());
+  const Tensor image = nets::SyntheticMnistImage(rng);
+  ExpectBitExact(again.Run(image).output,
+                 Oracle(again, compiled.fused_graph(), image));
+  EXPECT_EQ(cache->stats().design_hits, before.design_hits);
+  EXPECT_EQ(cache->stats().design_misses, before.design_misses);
+  EXPECT_EQ(compiled.runtime().now(), kSimTimeZero);
+}
+
 // --- Chaos campaign ---------------------------------------------------------
 
 TEST(Chaos, TwoHundredSeededScenariosHoldAllInvariants) {
@@ -367,6 +400,37 @@ TEST(Chaos, TwoHundredSeededScenariosHoldAllInvariants) {
   }
   EXPECT_GT(failover_scenarios, 10);
   EXPECT_GT(faulted_scenarios, 50);
+}
+
+TEST(Chaos, CampaignCompilesTheDesignOnce) {
+  Rng rng(7);
+  graph::Graph net = nets::BuildLeNet5(rng);
+  auto cache = std::make_shared<core::CompileCache>();
+  core::DeployOptions opts = LenetOptions();
+  opts.compile_cache = cache;
+  ChaosOptions copts;
+  copts.scenarios = 12;
+  copts.jobs = 2;
+  const ha::ChaosReport rep = ha::RunChaosCampaign(net, opts, copts);
+  EXPECT_TRUE(rep.ok()) << rep.SummaryTable();
+  // Synthesis lookups: one per kernel for the campaign's one compile, plus
+  // one folded-fallback compile per scenario that needed the fallback
+  // (never one compile per scenario and board).
+  const auto kernels =
+      core::Deployment::Compile(net, LenetOptions()).kernels().size();
+  core::DeployOptions fallback = LenetOptions();
+  fallback.mode = core::ExecutionMode::kFolded;
+  fallback.recipe = core::FoldedBase();
+  const auto fallback_kernels =
+      core::Deployment::Compile(net, fallback).kernels().size();
+  std::size_t fallback_scenarios = 0;
+  for (const auto& s : rep.scenarios) {
+    if (s.fallback_runs > 0) ++fallback_scenarios;
+  }
+  const core::CompileCacheStats stats = cache->stats();
+  EXPECT_EQ(stats.design_hits + stats.design_misses,
+            static_cast<std::int64_t>(kernels +
+                                      fallback_scenarios * fallback_kernels));
 }
 
 TEST(Chaos, DigestIsIdenticalAcrossRerunsAndThreadCounts) {

@@ -5,6 +5,8 @@
 // functional execution while the AOC model provides timing.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -69,6 +71,10 @@ struct ConvCase {
   ConvSpec spec;
   ConvSchedule sched;
 };
+
+// gtest would otherwise dump the struct's bytes, whose leading string
+// pointer varies from build to build, into the listed test name.
+void PrintTo(const ConvCase& c, std::ostream* os) { *os << c.label; }
 
 class ConvEquivalence : public ::testing::TestWithParam<ConvCase> {};
 
@@ -261,6 +267,8 @@ struct DenseCase {
   DenseSpec spec;
   DenseSchedule sched;
 };
+
+void PrintTo(const DenseCase& c, std::ostream* os) { *os << c.label; }
 
 class DenseEquivalence : public ::testing::TestWithParam<DenseCase> {};
 
