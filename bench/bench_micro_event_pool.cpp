@@ -11,7 +11,6 @@
 // Writes BENCH_micro_event_pool.json. CI gates `pool.speedup.steady`
 // against the committed baseline (>= 1.5x is the claim this bench
 // establishes); raw wall.* figures are host-dependent and never gated.
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <string>
@@ -110,11 +109,6 @@ double PoolSteadyUs(std::uint64_t* checksum) {
   return std::chrono::duration<double, std::micro>(t1 - t0).count();
 }
 
-double MedianOf(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
 }  // namespace
 
 int main() {
@@ -149,13 +143,13 @@ int main() {
     return 1;
   }
 
-  const double aos = MedianOf(aos_us);
-  const double pool = MedianOf(pool_us);
+  const double aos = bench::MedianOf(aos_us);
+  const double pool = bench::MedianOf(pool_us);
   const double per_event_ns_aos =
       aos * 1e3 / (static_cast<double>(kBatches) * kEventsPerBatch);
   const double per_event_ns_pool =
       pool * 1e3 / (static_cast<double>(kBatches) * kEventsPerBatch);
-  const double speedup = MedianOf(ratios);
+  const double speedup = bench::MedianOf(ratios);
 
   std::printf("%d batches x %d events, median of %d reps:\n", kBatches,
               kEventsPerBatch, kReps);

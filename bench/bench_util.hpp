@@ -6,6 +6,7 @@
 // shape directly (see EXPERIMENTS.md for the full ledger).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -55,6 +56,12 @@ inline core::Deployment DeployFolded(const graph::Graph& g,
 inline std::string WithPaper(double model, double paper, int digits = 0) {
   return Table::Num(model, digits) + " (paper " + Table::Num(paper, digits) +
          ")";
+}
+
+/// Median (upper median for an even count) of a sample.
+inline double MedianOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 inline void Banner(const char* what, const char* paper_ref) {

@@ -1,6 +1,7 @@
 #include "cpu/ops.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -116,11 +117,19 @@ inline V8f BroadcastV8(float v) { return V8f{v, v, v, v, v, v, v, v}; }
 /// 8 input taps for output columns base..base+7 at filter column fx:
 /// lane l reads ix = (base + l) * stride + fx - pad, or 0.0f when the tap
 /// falls outside the row (a bitwise no-op on the accumulator; see above).
+/// Only border tiles pay the per-lane bounds check.
 inline V8f LoadTaps(const float* in_row, std::int64_t w1, std::int64_t base_ix,
                     std::int64_t stride) {
   V8f v;
-  if (stride == 1 && base_ix >= 0 && base_ix + kLanes <= w1) {
-    std::memcpy(&v, in_row + base_ix, sizeof(v));
+  if (base_ix >= 0 && base_ix + (kLanes - 1) * stride < w1) {
+    if (stride == 1) {
+      std::memcpy(&v, in_row + base_ix, sizeof(v));
+    } else {
+      const float* src = in_row + base_ix;
+      v = V8f{src[0],          src[stride],     src[2 * stride],
+              src[3 * stride], src[4 * stride], src[5 * stride],
+              src[6 * stride], src[7 * stride]};
+    }
     return v;
   }
   alignas(32) float tmp[kLanes];
@@ -130,6 +139,24 @@ inline V8f LoadTaps(const float* in_row, std::int64_t w1, std::int64_t base_ix,
   }
   std::memcpy(&v, tmp, sizeof(v));
   return v;
+}
+
+/// Output channels per register tile of the conv kernels: every input
+/// vector a tile loads feeds this many accumulators.
+constexpr std::int64_t kOcBlock = 4;
+
+/// First filter of each row of a kOcBlock tile starting at channel oc0.
+/// Rows past the last channel alias the last real filter; their sums are
+/// computed and discarded, so a tail block runs the same code.
+inline std::array<const float*, kOcBlock> TileFilters(
+    const float* w, std::int64_t oc0, std::int64_t k,
+    std::int64_t filter_size) {
+  std::array<const float*, kOcBlock> rows;
+  for (std::int64_t j = 0; j < kOcBlock; ++j) {
+    rows[static_cast<std::size_t>(j)] =
+        w + std::min(oc0 + j, k - 1) * filter_size;
+  }
+  return rows;
 }
 
 /// Bias + activation + store for one 8-lane tile of outputs, applied
@@ -142,6 +169,67 @@ inline void StoreLanes(float* dst, std::int64_t n, V8f acc, const float* bias,
     float v = tmp[l];
     if (bias != nullptr) v += *bias;
     dst[l] = ApplyActivation(act, v);
+  }
+}
+
+/// A pointwise (1x1, stride 1, pad 0) conv seen as the product
+/// W[K,C1] x X[C1,N] over the flattened pixel axis N = H*W.
+struct PointwiseProblem {
+  const float* in;
+  const float* w;
+  float* out;
+  const float* bias;  // nullptr: no bias
+  std::int64_t c1, k, n;
+  Activation act;
+};
+
+constexpr std::int64_t kPxTile = 2 * kLanes;
+
+/// One kOcBlock-channel x 16-pixel tile of a pointwise conv, held in 8
+/// accumulators: per input channel, two input vectors and four weight
+/// broadcasts. The last tile of a row of X (fewer than 16 pixels) reads
+/// through a zero-filled buffer and stores only the pixels that exist.
+template <bool kFullTile>
+void PointwiseTile(const PointwiseProblem& pw, std::int64_t oc0,
+                   std::int64_t p0) {
+  const auto filt = TileFilters(pw.w, oc0, pw.k, pw.c1);
+  const std::int64_t np = kFullTile ? kPxTile : pw.n - p0;
+  V8f a00{}, a01{}, a10{}, a11{}, a20{}, a21{}, a30{}, a31{};
+  for (std::int64_t ic = 0; ic < pw.c1; ++ic) {
+    const float* src = pw.in + ic * pw.n + p0;
+    V8f x0, x1;
+    if constexpr (kFullTile) {
+      std::memcpy(&x0, src, sizeof(x0));
+      std::memcpy(&x1, src + kLanes, sizeof(x1));
+    } else {
+      alignas(32) float tmp[kPxTile] = {};
+      std::memcpy(tmp, src, static_cast<std::size_t>(np) * sizeof(float));
+      std::memcpy(&x0, tmp, sizeof(x0));
+      std::memcpy(&x1, tmp + kLanes, sizeof(x1));
+    }
+    const V8f w0 = BroadcastV8(filt[0][ic]);
+    const V8f w1 = BroadcastV8(filt[1][ic]);
+    const V8f w2 = BroadcastV8(filt[2][ic]);
+    const V8f w3 = BroadcastV8(filt[3][ic]);
+    a00 += x0 * w0;
+    a01 += x1 * w0;
+    a10 += x0 * w1;
+    a11 += x1 * w1;
+    a20 += x0 * w2;
+    a21 += x1 * w2;
+    a30 += x0 * w3;
+    a31 += x1 * w3;
+  }
+  const V8f acc[kOcBlock][2] = {{a00, a01}, {a10, a11}, {a20, a21},
+                                {a30, a31}};
+  const std::int64_t rows = std::min(kOcBlock, pw.k - oc0);
+  for (std::int64_t j = 0; j < rows; ++j) {
+    float* dst = pw.out + (oc0 + j) * pw.n + p0;
+    const float* b = pw.bias != nullptr ? pw.bias + oc0 + j : nullptr;
+    StoreLanes(dst, std::min(kLanes, np), acc[j][0], b, pw.act);
+    if (np > kLanes) {
+      StoreLanes(dst + kLanes, np - kLanes, acc[j][1], b, pw.act);
+    }
   }
 }
 
@@ -205,28 +293,56 @@ Tensor Conv2d(const Tensor& input, const Tensor& weights, const Tensor& bias,
   const std::int64_t s = params.stride;
   const std::int64_t p = params.pad;
   const Activation act = params.activation;
+  const std::int64_t oc_blocks = (k + kOcBlock - 1) / kOcBlock;
 
-  ParallelFor(0, k, num_threads, [&](std::int64_t oc) {
+  if (f == 1 && s == 1 && p == 0) {
+    const PointwiseProblem pw{in.data(), w.data(), o.data(), b,
+                              c1,        k,        h2 * w2,  act};
+    const std::int64_t full_tiles = pw.n / kPxTile;
+    ParallelFor(0, oc_blocks, num_threads, [&](std::int64_t blk) {
+      const std::int64_t oc0 = blk * kOcBlock;
+      for (std::int64_t t = 0; t < full_tiles; ++t) {
+        PointwiseTile<true>(pw, oc0, t * kPxTile);
+      }
+      if (full_tiles * kPxTile < pw.n) {
+        PointwiseTile<false>(pw, oc0, full_tiles * kPxTile);
+      }
+    });
+    return out;
+  }
+
+  // kOcBlock output channels x 8 adjacent output columns per tile: each
+  // tap vector feeds one accumulator per channel. The last tile of a row
+  // computes a full vector but stores only the lanes that exist.
+  const std::int64_t filter_size = c1 * f * f;
+  ParallelFor(0, oc_blocks, num_threads, [&](std::int64_t blk) {
+    const std::int64_t oc0 = blk * kOcBlock;
+    const std::int64_t rows = std::min(kOcBlock, k - oc0);
+    const auto filt = TileFilters(w.data(), oc0, k, filter_size);
     for (std::int64_t oy = 0; oy < h2; ++oy) {
-      // 8 adjacent output columns per tile; the last tile computes a full
-      // vector but stores only the lanes that exist.
       for (std::int64_t ox = 0; ox < w2; ox += kLanes) {
-        V8f acc = BroadcastV8(0.0f);
+        V8f a0{}, a1{}, a2{}, a3{};
         for (std::int64_t ic = 0; ic < c1; ++ic) {
           for (std::int64_t fy = 0; fy < f; ++fy) {
             const std::int64_t iy = oy * s + fy - p;
             if (iy < 0 || iy >= h1) continue;
             const float* in_row = in.data() + (ic * h1 + iy) * w1;
-            const float* w_row = w.data() + ((oc * c1 + ic) * f + fy) * f;
+            const std::int64_t tap0 = (ic * f + fy) * f;
             for (std::int64_t fx = 0; fx < f; ++fx) {
               const V8f taps = LoadTaps(in_row, w1, ox * s + fx - p, s);
-              acc += taps * BroadcastV8(w_row[fx]);
+              a0 += taps * BroadcastV8(filt[0][tap0 + fx]);
+              a1 += taps * BroadcastV8(filt[1][tap0 + fx]);
+              a2 += taps * BroadcastV8(filt[2][tap0 + fx]);
+              a3 += taps * BroadcastV8(filt[3][tap0 + fx]);
             }
           }
         }
-        StoreLanes(o.data() + (oc * h2 + oy) * w2 + ox,
-                   std::min<std::int64_t>(kLanes, w2 - ox), acc,
-                   b != nullptr ? b + oc : nullptr, act);
+        const V8f acc[kOcBlock] = {a0, a1, a2, a3};
+        for (std::int64_t j = 0; j < rows; ++j) {
+          StoreLanes(o.data() + ((oc0 + j) * h2 + oy) * w2 + ox,
+                     std::min(kLanes, w2 - ox), acc[j],
+                     b != nullptr ? b + oc0 + j : nullptr, act);
+        }
       }
     }
   });

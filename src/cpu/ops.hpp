@@ -28,9 +28,11 @@ struct Conv2dParams {
 /// Conv2d/DepthwiseConv2d/Dense run an 8-wide SIMD path (portable
 /// GCC/Clang vector extensions) when available: one vector lane per
 /// output element, each lane accumulating in exactly the scalar loop's
-/// order, so results are bit-identical to the *Scalar variants. The
-/// *Scalar variants keep the plain loops as the oracle the SIMD path is
-/// tested (and benchmarked) against.
+/// order, so results are bit-identical to the *Scalar variants. Conv2d
+/// blocks 4 output channels per register tile so each loaded input vector
+/// feeds 4 outputs, and runs a pointwise (1x1, stride 1, pad 0) conv over
+/// the flattened H*W axis. The *Scalar variants keep the plain loops as
+/// the oracle the SIMD path is tested (and benchmarked) against.
 [[nodiscard]] Tensor Conv2d(const Tensor& input, const Tensor& weights,
                             const Tensor& bias, const Conv2dParams& params,
                             int num_threads = 1);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -346,6 +347,91 @@ TEST(SimdBitExact, ThreadCountDoesNotChangeSimdResult) {
   const Conv2dParams p{.stride = 1, .pad = 1};
   ExpectBitwiseEqual(Conv2d(input, w, Tensor(), p, 4),
                      Conv2d(input, w, Tensor(), p, 1), "conv threads");
+}
+
+// The register-blocked conv computes 4 output channels per tile (a tail
+// block recomputes its last real filter and discards the copies), and a
+// pointwise conv runs 16-pixel tiles over the flattened H*W axis with a
+// zero-filled last tile. K and H*W below hit full tiles, every tail size
+// class, and single-element edges.
+TEST(SimdBitExact, PointwiseBlockedSweep) {
+  Rng rng(96);
+  const std::pair<int, int> hw[] = {{1, 1}, {4, 4}, {5, 9}, {7, 7}, {14, 14}};
+  for (const int k : {1, 3, 4, 5, 13}) {
+    for (const auto& [h, w1] : hw) {
+      auto input = Tensor::Random(Shape{1, 7, h, w1}, rng, -2.0f, 2.0f);
+      auto w = Tensor::Random(Shape{k, 7, 1, 1}, rng, -1.0f, 1.0f);
+      auto bias = Tensor::Random(Shape{k}, rng);
+      for (const auto act : {Activation::kNone, Activation::kRelu,
+                             Activation::kRelu6}) {
+        const Conv2dParams p{.activation = act};
+        const std::string what = "pw k=" + std::to_string(k) + " " +
+                                 std::to_string(h) + "x" +
+                                 std::to_string(w1);
+        ExpectBitwiseEqual(Conv2d(input, w, bias, p),
+                           Conv2dScalar(input, w, bias, p), what);
+        ExpectBitwiseEqual(Conv2d(input, w, Tensor(), p),
+                           Conv2dScalar(input, w, Tensor(), p),
+                           what + " nobias");
+      }
+    }
+  }
+}
+
+TEST(SimdBitExact, BlockedKxKSweep) {
+  Rng rng(97);
+  // 23 columns at stride 2 put both interior (unchecked gather) and
+  // border (bounds-checked) tap vectors in every row.
+  auto input = Tensor::Random(Shape{1, 3, 13, 23}, rng, -2.0f, 2.0f);
+  for (const int f : {1, 3, 5, 6}) {
+    for (const int k : {1, 3, 5, 6}) {
+      auto w = Tensor::Random(Shape{k, 3, f, f}, rng, -1.0f, 1.0f);
+      auto bias = Tensor::Random(Shape{k}, rng);
+      for (const int stride : {1, 2}) {
+        for (const int pad : {0, 1}) {
+          const Conv2dParams p{.stride = stride, .pad = pad,
+                               .activation = Activation::kRelu6};
+          ExpectBitwiseEqual(
+              Conv2d(input, w, bias, p), Conv2dScalar(input, w, bias, p),
+              "conv f=" + std::to_string(f) + " k=" + std::to_string(k) +
+                  " s=" + std::to_string(stride) +
+                  " p=" + std::to_string(pad));
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdBitExact, Strided1x1TakesGeneralPath) {
+  // ResNet's downsample shortcut: 1x1, stride 2, no pad.
+  Rng rng(98);
+  auto input = Tensor::Random(Shape{1, 16, 14, 14}, rng, -2.0f, 2.0f);
+  auto w = Tensor::Random(Shape{10, 16, 1, 1}, rng, -1.0f, 1.0f);
+  auto bias = Tensor::Random(Shape{10}, rng);
+  const Conv2dParams p{.stride = 2};
+  ExpectBitwiseEqual(Conv2d(input, w, bias, p),
+                     Conv2dScalar(input, w, bias, p), "conv1x1 s2");
+}
+
+TEST(SimdBitExact, UnevenBlocksAcrossThreads) {
+  // K = 18 is 5 channel blocks (the last holds 2 channels): 3 and 4
+  // threads both get unequal shares.
+  Rng rng(99);
+  auto input = Tensor::Random(Shape{1, 6, 9, 11}, rng, -2.0f, 2.0f);
+  auto w1x1 = Tensor::Random(Shape{18, 6, 1, 1}, rng, -1.0f, 1.0f);
+  auto w3x3 = Tensor::Random(Shape{18, 6, 3, 3}, rng, -1.0f, 1.0f);
+  auto bias = Tensor::Random(Shape{18}, rng);
+  const Conv2dParams pw{.activation = Activation::kRelu};
+  const Conv2dParams kxk{.stride = 2, .pad = 1,
+                         .activation = Activation::kRelu};
+  const Tensor pw_ref = Conv2dScalar(input, w1x1, bias, pw);
+  const Tensor kxk_ref = Conv2dScalar(input, w3x3, bias, kxk);
+  for (const int threads : {1, 3, 4}) {
+    ExpectBitwiseEqual(Conv2d(input, w1x1, bias, pw, threads), pw_ref,
+                       "pw threads=" + std::to_string(threads));
+    ExpectBitwiseEqual(Conv2d(input, w3x3, bias, kxk, threads), kxk_ref,
+                       "3x3 threads=" + std::to_string(threads));
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // 2.1-2.3, and cost totals must land on the reported FLOP/parameter counts.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/error.hpp"
 #include "graph/graph.hpp"
 #include "nets/nets.hpp"
@@ -97,6 +99,20 @@ TEST(MobileNetV1, PointwiseConvsDominate) {
     if (n.kind == OpKind::kConv2d && n.window == 1) pw += f;
   }
   EXPECT_NEAR(pw / total, 0.9486, 0.02);
+}
+
+TEST(MobileNetV1, ExecuteIsBitwiseThreadInvariant) {
+  // Every reference operator computes each output on one thread in a fixed
+  // order, so the thread count must not change a single bit.
+  Rng rng(10);
+  Graph g = BuildMobileNetV1(rng);
+  Tensor img = SyntheticImagenetImage(rng);
+  const Tensor one = graph::Execute(g, img, 1);
+  const Tensor four = graph::Execute(g, img, 4);
+  ASSERT_EQ(one.shape(), four.shape());
+  EXPECT_EQ(std::memcmp(one.data().data(), four.data().data(),
+                        one.data().size() * sizeof(float)),
+            0);
 }
 
 class ResNetDepth : public ::testing::TestWithParam<int> {};
