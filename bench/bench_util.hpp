@@ -107,13 +107,14 @@ class BenchSnapshot {
     for (const auto& [key, v] : metrics_) {
       if (!first) out += ",";
       first = false;
-      out += "\"" + obs::JsonEscape(key) + "\":" + obs::JsonNum(v);
+      out.append("\"").append(obs::JsonEscape(key)).append("\":");
+      out.append(obs::JsonNum(v));
     }
     out += "},\"registries\":{";
     for (std::size_t i = 0; i < registries_.size(); ++i) {
       if (i > 0) out += ",";
-      out += "\"" + obs::JsonEscape(registries_[i].first) +
-             "\":" + registries_[i].second;
+      out.append("\"").append(obs::JsonEscape(registries_[i].first));
+      out.append("\":").append(registries_[i].second);
     }
     out += "}}";
     const std::string path = "BENCH_" + name_ + ".json";

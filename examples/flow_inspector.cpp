@@ -145,10 +145,12 @@ void WriteFile(const std::string& path, const std::string& contents) {
 
 /// Per-phase compile timings from the tracer: top-level phases plus one
 /// indented level, with the IR-pass spam left to the aggregated pass table.
+/// Gate diagnostics mirrored into the tracer (category "diag") are not
+/// phases; they print in the diagnostics table.
 void PrintCompilePhases(const clflow::obs::Tracer& tracer) {
   clflow::Table table({"Phase", "Wall us", "Detail"});
   for (const auto& span : tracer.spans()) {
-    if (span.depth > 1) continue;
+    if (span.depth > 1 || span.category == "diag") continue;
     std::string detail;
     for (const auto& [key, value] : span.args) {
       if (!detail.empty()) detail += " ";

@@ -112,15 +112,25 @@ DenseDims CheckDenseShapes(const Tensor& input, const Tensor& weights,
 typedef float V8f __attribute__((vector_size(32)));
 constexpr std::int64_t kLanes = 8;
 
-inline V8f BroadcastV8(float v) { return V8f{v, v, v, v, v, v, v, v}; }
+// No helper returns a V8f by value: without -mavx such a return changes
+// the psABI, which GCC warns about (-Wpsabi). BroadcastV8 builds its
+// vector in place and LoadTaps fills an out-param; under GCC 12 these run
+// as fast as by-value helpers. A broadcast written as a scalar operand
+// (`taps * w`) or a vector literal does not: GCC spills the pointwise
+// accumulators and the tile runs several times slower.
+
+/// All 8 lanes set to x; read the vector as BroadcastV8(x).v.
+struct BroadcastV8 {
+  explicit BroadcastV8(float x) : v{x, x, x, x, x, x, x, x} {}
+  V8f v;
+};
 
 /// 8 input taps for output columns base..base+7 at filter column fx:
 /// lane l reads ix = (base + l) * stride + fx - pad, or 0.0f when the tap
 /// falls outside the row (a bitwise no-op on the accumulator; see above).
 /// Only border tiles pay the per-lane bounds check.
-inline V8f LoadTaps(const float* in_row, std::int64_t w1, std::int64_t base_ix,
-                    std::int64_t stride) {
-  V8f v;
+inline void LoadTaps(const float* in_row, std::int64_t w1,
+                     std::int64_t base_ix, std::int64_t stride, V8f& v) {
   if (base_ix >= 0 && base_ix + (kLanes - 1) * stride < w1) {
     if (stride == 1) {
       std::memcpy(&v, in_row + base_ix, sizeof(v));
@@ -130,7 +140,7 @@ inline V8f LoadTaps(const float* in_row, std::int64_t w1, std::int64_t base_ix,
               src[3 * stride], src[4 * stride], src[5 * stride],
               src[6 * stride], src[7 * stride]};
     }
-    return v;
+    return;
   }
   alignas(32) float tmp[kLanes];
   for (std::int64_t l = 0; l < kLanes; ++l) {
@@ -138,7 +148,6 @@ inline V8f LoadTaps(const float* in_row, std::int64_t w1, std::int64_t base_ix,
     tmp[l] = (ix >= 0 && ix < w1) ? in_row[ix] : 0.0f;
   }
   std::memcpy(&v, tmp, sizeof(v));
-  return v;
 }
 
 /// Output channels per register tile of the conv kernels: every input
@@ -207,10 +216,10 @@ void PointwiseTile(const PointwiseProblem& pw, std::int64_t oc0,
       std::memcpy(&x0, tmp, sizeof(x0));
       std::memcpy(&x1, tmp + kLanes, sizeof(x1));
     }
-    const V8f w0 = BroadcastV8(filt[0][ic]);
-    const V8f w1 = BroadcastV8(filt[1][ic]);
-    const V8f w2 = BroadcastV8(filt[2][ic]);
-    const V8f w3 = BroadcastV8(filt[3][ic]);
+    const V8f w0 = BroadcastV8(filt[0][ic]).v;
+    const V8f w1 = BroadcastV8(filt[1][ic]).v;
+    const V8f w2 = BroadcastV8(filt[2][ic]).v;
+    const V8f w3 = BroadcastV8(filt[3][ic]).v;
     a00 += x0 * w0;
     a01 += x1 * w0;
     a10 += x0 * w1;
@@ -329,11 +338,12 @@ Tensor Conv2d(const Tensor& input, const Tensor& weights, const Tensor& bias,
             const float* in_row = in.data() + (ic * h1 + iy) * w1;
             const std::int64_t tap0 = (ic * f + fy) * f;
             for (std::int64_t fx = 0; fx < f; ++fx) {
-              const V8f taps = LoadTaps(in_row, w1, ox * s + fx - p, s);
-              a0 += taps * BroadcastV8(filt[0][tap0 + fx]);
-              a1 += taps * BroadcastV8(filt[1][tap0 + fx]);
-              a2 += taps * BroadcastV8(filt[2][tap0 + fx]);
-              a3 += taps * BroadcastV8(filt[3][tap0 + fx]);
+              V8f taps;
+              LoadTaps(in_row, w1, ox * s + fx - p, s, taps);
+              a0 += taps * BroadcastV8(filt[0][tap0 + fx]).v;
+              a1 += taps * BroadcastV8(filt[1][tap0 + fx]).v;
+              a2 += taps * BroadcastV8(filt[2][tap0 + fx]).v;
+              a3 += taps * BroadcastV8(filt[3][tap0 + fx]).v;
             }
           }
         }
@@ -409,15 +419,16 @@ Tensor DepthwiseConv2d(const Tensor& input, const Tensor& weights,
   ParallelFor(0, c, num_threads, [&](std::int64_t ch) {
     for (std::int64_t oy = 0; oy < h2; ++oy) {
       for (std::int64_t ox = 0; ox < w2; ox += kLanes) {
-        V8f acc = BroadcastV8(0.0f);
+        V8f acc = BroadcastV8(0.0f).v;
         for (std::int64_t fy = 0; fy < f; ++fy) {
           const std::int64_t iy = oy * s + fy - p;
           if (iy < 0 || iy >= h1) continue;
           const float* in_row = in.data() + (ch * h1 + iy) * w1;
           const float* w_row = w.data() + (ch * f + fy) * f;
           for (std::int64_t fx = 0; fx < f; ++fx) {
-            const V8f taps = LoadTaps(in_row, w1, ox * s + fx - p, s);
-            acc += taps * BroadcastV8(w_row[fx]);
+            V8f taps;
+            LoadTaps(in_row, w1, ox * s + fx - p, s, taps);
+            acc += taps * BroadcastV8(w_row[fx]).v;
           }
         }
         StoreLanes(o.data() + (ch * h2 + oy) * w2 + ox,
@@ -481,11 +492,11 @@ Tensor Dense(const Tensor& input, const Tensor& weights, const Tensor& bias,
       const float* r5 = w.data() + (j0 + 5) * c1;
       const float* r6 = w.data() + (j0 + 6) * c1;
       const float* r7 = w.data() + (j0 + 7) * c1;
-      V8f acc = BroadcastV8(0.0f);
+      V8f acc = BroadcastV8(0.0f).v;
       for (std::int64_t i = 0; i < c1; ++i) {
         const V8f wv = {r0[i], r1[i], r2[i], r3[i],
                         r4[i], r5[i], r6[i], r7[i]};
-        acc += BroadcastV8(in[static_cast<std::size_t>(i)]) * wv;
+        acc += BroadcastV8(in[static_cast<std::size_t>(i)]).v * wv;
       }
       alignas(32) float tmp[kLanes];
       std::memcpy(tmp, &acc, sizeof(tmp));

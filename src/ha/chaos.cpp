@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "graph/graph.hpp"
 #include "ha/replica_set.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace clflow::ha {
@@ -117,22 +118,6 @@ void Fnv(std::uint64_t& h, const std::string& s) {
   common::FnvBytes(h, "\n", 1);
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::uint64_t ChaosReport::Digest() const {
@@ -158,14 +143,14 @@ std::string ChaosReport::ToJson() const {
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const ChaosScenario& s = scenarios[i];
     os << "    {\"index\": " << s.index << ", \"faults\": \""
-       << JsonEscape(s.fault_desc) << "\", \"batches\": " << s.batches
+       << obs::JsonEscape(s.fault_desc) << "\", \"batches\": " << s.batches
        << ", \"failovers\": " << s.failovers
        << ", \"fallback_runs\": " << s.fallback_runs
        << ", \"quarantines\": " << s.quarantines
        << ", \"detection_us\": " << s.detection_us
        << ", \"recovery_us\": " << s.recovery_us
        << ", \"recovery_action\": \"" << s.recovery_action
-       << "\", \"outcome\": \"" << JsonEscape(s.outcome) << "\"}"
+       << "\", \"outcome\": \"" << obs::JsonEscape(s.outcome) << "\"}"
        << (i + 1 < scenarios.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";

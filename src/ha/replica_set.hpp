@@ -64,7 +64,7 @@ struct HaOptions {
   /// "<prefix>board<i>_quarantine_flightrec.json". Empty disables both.
   /// Runtime hardening knobs (watchdog, retry caps) come from
   /// DeployOptions::runtime, validated at compile time (CLF507).
-  std::string flightrec_prefix;
+  std::string flightrec_prefix{};
   /// Compile the CompileWithFallback folded baseline lazily when every
   /// replica is quarantined; false makes an all-quarantined batch rethrow
   /// the last board's fault instead.

@@ -24,8 +24,8 @@ namespace clflow::ir {
 /// Channel endpoints replacing global-memory activation I/O for pipelined
 /// execution (SS4.6). Null pointers mean global-memory I/O.
 struct ChannelIO {
-  BufferPtr input;
-  BufferPtr output;
+  BufferPtr input{};
+  BufferPtr output{};
 };
 
 /// A kernel plus its buffer roles (for host binding) and symbolic shape

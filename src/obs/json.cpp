@@ -48,6 +48,21 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+std::string HtmlEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '&': out += "&amp;"; break;
+      case '<': out += "&lt;"; break;
+      case '>': out += "&gt;"; break;
+      case '"': out += "&quot;"; break;
+      default: out += c;
+    }
+  }
+  return out;
+}
+
 std::string JsonNum(double v) {
   if (!std::isfinite(v)) return "0";
   char buf[32];

@@ -1,4 +1,5 @@
-// Minimal JSON utilities shared by the observability exporters.
+// Minimal JSON (and HTML-escaping) utilities shared by the observability
+// exporters.
 //
 // JsonEscape produces a string safe to splice between double quotes in a
 // JSON document (every control character below 0x20 is escaped, which the
@@ -21,6 +22,9 @@ namespace clflow::obs {
 /// Escapes `s` for use inside a JSON string literal: quote, backslash,
 /// the \b \t \n \f \r shorthands, and \u00XX for any other char < 0x20.
 [[nodiscard]] std::string JsonEscape(const std::string& s);
+
+/// Escapes `s` for HTML text and double-quoted attribute values: & < > ".
+[[nodiscard]] std::string HtmlEscape(const std::string& s);
 
 /// Formats a double as a JSON number token (finite shortest round-trip;
 /// NaN/inf degrade to 0, which JSON cannot represent).

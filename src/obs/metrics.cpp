@@ -39,99 +39,6 @@ double Gauge::value() const {
   return value_;
 }
 
-void Histogram::Observe(double value) {
-  std::lock_guard lock(mu_);
-  if (retain_samples_) {
-    samples_.push_back(value);
-    if (window_ > 0 && samples_.size() > window_) samples_.pop_front();
-  } else {
-    buckets_.Observe(value);
-  }
-}
-
-void Histogram::set_retain_samples(bool retain) {
-  std::lock_guard lock(mu_);
-  if (retain == retain_samples_) return;
-  retain_samples_ = retain;
-  if (retain) {
-    buckets_.Clear();
-  } else {
-    samples_.clear();
-  }
-}
-
-bool Histogram::retain_samples() const {
-  std::lock_guard lock(mu_);
-  return retain_samples_;
-}
-
-void Histogram::set_window(std::size_t n) {
-  std::lock_guard lock(mu_);
-  if (!retain_samples_) {
-    retain_samples_ = true;
-    buckets_.Clear();
-  }
-  window_ = n;
-  if (window_ > 0) {
-    while (samples_.size() > window_) samples_.pop_front();
-  }
-}
-
-std::size_t Histogram::window() const {
-  std::lock_guard lock(mu_);
-  return window_;
-}
-
-std::vector<double> Histogram::window_samples() const {
-  std::lock_guard lock(mu_);
-  return {samples_.begin(), samples_.end()};
-}
-
-void Histogram::MergeFrom(const Histogram& other) {
-  std::vector<double> other_samples;
-  LogHistogram other_buckets;
-  bool other_retained = false;
-  {
-    std::lock_guard lock(other.mu_);
-    other_retained = other.retain_samples_;
-    if (other_retained) {
-      other_samples.assign(other.samples_.begin(), other.samples_.end());
-    } else {
-      other_buckets = other.buckets_;
-    }
-  }
-  std::lock_guard lock(mu_);
-  if (retain_samples_) {
-    // Retained targets only absorb retained sources (a bucketed source
-    // has no samples to replay); mixed merges go the other way.
-    for (double v : other_samples) {
-      samples_.push_back(v);
-      if (window_ > 0 && samples_.size() > window_) samples_.pop_front();
-    }
-  } else if (other_retained) {
-    for (double v : other_samples) buckets_.Observe(v);
-  } else {
-    buckets_.MergeFrom(other_buckets);
-  }
-}
-
-std::uint64_t Histogram::Digest() const {
-  std::lock_guard lock(mu_);
-  if (!retain_samples_) return buckets_.Digest();
-  std::uint64_t h = detail::kFnvOffset;
-  detail::FnvMix(h, static_cast<std::uint64_t>(samples_.size()));
-  for (double v : samples_) detail::FnvMix(h, detail::DoubleBits(v));
-  return h;
-}
-
-LogHistogram Histogram::log_buckets() const {
-  std::lock_guard lock(mu_);
-  return buckets_;
-}
-
-namespace {
-
-/// Nearest-rank percentile over an ascending-sorted sample vector.
 double Percentile(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0.0;
   const auto n = static_cast<double>(sorted.size());
@@ -140,35 +47,31 @@ double Percentile(const std::vector<double>& sorted, double p) {
   return sorted[rank - 1];
 }
 
-}  // namespace
+void Histogram::Observe(double value) {
+  std::lock_guard lock(mu_);
+  buckets_.Observe(value);
+}
+
+void Histogram::Clear() {
+  std::lock_guard lock(mu_);
+  buckets_.Clear();
+}
+
+LogHistogram Histogram::log_buckets() const {
+  std::lock_guard lock(mu_);
+  return buckets_;
+}
 
 Histogram::Snapshot Histogram::snapshot() const {
-  std::vector<double> sorted;
-  {
-    std::lock_guard lock(mu_);
-    if (!retain_samples_) {
-      Snapshot s;
-      s.count = buckets_.count();
-      s.sum = buckets_.sum();
-      s.min = buckets_.min();
-      s.max = buckets_.max();
-      s.p50 = buckets_.Quantile(0.50);
-      s.p95 = buckets_.Quantile(0.95);
-      s.p99 = buckets_.Quantile(0.99);
-      return s;
-    }
-    sorted.assign(samples_.begin(), samples_.end());
-  }
-  std::sort(sorted.begin(), sorted.end());
+  std::lock_guard lock(mu_);
   Snapshot s;
-  s.count = static_cast<std::int64_t>(sorted.size());
-  if (sorted.empty()) return s;
-  for (double v : sorted) s.sum += v;
-  s.min = sorted.front();
-  s.max = sorted.back();
-  s.p50 = Percentile(sorted, 0.50);
-  s.p95 = Percentile(sorted, 0.95);
-  s.p99 = Percentile(sorted, 0.99);
+  s.count = buckets_.count();
+  s.sum = buckets_.sum();
+  s.min = buckets_.min();
+  s.max = buckets_.max();
+  s.p50 = buckets_.Quantile(0.50);
+  s.p95 = buckets_.Quantile(0.95);
+  s.p99 = buckets_.Quantile(0.99);
   return s;
 }
 
@@ -241,7 +144,8 @@ std::string LabelsJson(const Labels& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + JsonEscape(k) + "\":\"" + JsonEscape(v) + "\"";
+    out.append("\"").append(JsonEscape(k)).append("\":\"");
+    out.append(JsonEscape(v)).append("\"");
   }
   return out + "}";
 }
@@ -371,7 +275,9 @@ std::string PromName(const std::string& name) {
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     if (!ok) c = '_';
   }
-  if (!out.empty() && out[0] >= '0' && out[0] <= '9') out.insert(0, "_");
+  if (!out.empty() && out[0] >= '0' && out[0] <= '9') {
+    out.insert(out.begin(), '_');
+  }
   return out;
 }
 

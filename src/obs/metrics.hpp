@@ -7,10 +7,10 @@
 //
 //   * Counter    - monotone accumulation (pass applications, bytes moved);
 //   * Gauge      - last-write-wins level (area totals, fmax, occupancy);
-//   * Histogram  - value distribution with p50/p95/p99/max. Log-bucketed
-//                  by default (bounded memory, quantiles within 1% --
-//                  see obs/timeseries.hpp); full-sample retention is an
-//                  explicit opt-in for exact-quantile consumers;
+//   * Histogram  - value distribution with p50/p95/p99/max, log-bucketed
+//                  (bounded memory, quantiles within 1% -- see
+//                  obs/timeseries.hpp). Consumers that need exact
+//                  quantiles keep their own samples and use Percentile;
 //   * TimeSeries - windowed counters/gauges on the simulated clock
 //                  (request rates, utilization timelines).
 //
@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -67,6 +66,14 @@ class Gauge {
   double value_ = 0.0;
 };
 
+/// Exact nearest-rank percentile (p in [0,1]) over an ascending-sorted
+/// sample vector; 0 when empty. The exact counterpart of
+/// LogHistogram::Quantile for consumers that hold their samples.
+[[nodiscard]] double Percentile(const std::vector<double>& sorted, double p);
+
+/// A locked LogHistogram: count/sum/min/max are exact, quantiles are
+/// within 1% relative error, and memory is bounded regardless of how many
+/// values a serving loop observes.
 class Histogram {
  public:
   struct Snapshot {
@@ -78,50 +85,16 @@ class Histogram {
   void Observe(double value);
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Default storage is log-bucketed (obs::LogHistogram): count/sum/min/
-  /// max are exact, quantiles are within 1% relative error, and memory is
-  /// bounded regardless of how many values a serving loop observes.
-  /// Opting in to sample retention keeps every observation (or the most
-  /// recent `window`) for exact nearest-rank quantiles -- the mode tests
-  /// and the SLO monitor's bounded request window use. Switching modes
-  /// discards data recorded under the previous mode, so callers pick a
-  /// mode before observing.
-  void set_retain_samples(bool retain);
-  [[nodiscard]] bool retain_samples() const;
-
-  /// Makes this a sliding-window histogram keeping only the most recent
-  /// `n` observations (implies sample retention; memory is bounded by n).
-  /// Shrinking the window immediately evicts the oldest samples, so a
-  /// rotated window never carries stale samples into its statistics; an
-  /// empty or single-sample window reports consistent zeros / the lone
-  /// sample for every percentile in JSON, CSV, and the summary table
-  /// alike. `n` = 0 keeps sample retention without a bound.
-  void set_window(std::size_t n);
-  [[nodiscard]] std::size_t window() const;
-
-  /// Copy of the currently retained samples, oldest first (empty in the
-  /// default log-bucketed mode).
-  [[nodiscard]] std::vector<double> window_samples() const;
-
-  /// Merges another histogram recorded in the same mode (bucketed adds
-  /// bucket counts; retained appends samples, then trims to the window).
-  /// Deterministic when shards merge in a fixed order.
-  void MergeFrom(const Histogram& other);
-
-  /// Integer-state FNV digest (bucket counts, or sample bit patterns in
-  /// retained mode) for determinism tests.
-  [[nodiscard]] std::uint64_t Digest() const;
-
-  /// The underlying buckets (meaningful in the default bucketed mode);
-  /// exposed for quantile-drift gates in tests.
+  /// The underlying buckets; exposed for quantile-drift gates in tests.
   [[nodiscard]] LogHistogram log_buckets() const;
+
+  /// Drops every observation (exporters that refill a histogram from a
+  /// window call this first, so repeated exports stay idempotent).
+  void Clear();
 
  private:
   mutable std::mutex mu_;
-  bool retain_samples_ = false;
   LogHistogram buckets_;
-  std::deque<double> samples_;
-  std::size_t window_ = 0;  ///< 0 = unbounded (retained mode only)
 };
 
 class Registry {

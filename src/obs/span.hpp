@@ -1,6 +1,6 @@
 // Scoped wall-clock spans for the compile half of the flow.
 //
-// The runtime half of the system already has a timeline (ocl::ProfiledEvent
+// The runtime half of the system already has a timeline (ocl::EventPool
 // on the simulated clock); compilation happens in real time, so spans use a
 // monotonic wall clock (steady_clock) relative to the owning Tracer's
 // epoch. Spans nest lexically: a ScopedSpan opened while another is alive

@@ -137,7 +137,7 @@ void Runtime::RecordFault(const RuntimeFaultError& fault) {
   flightrec_->Record(std::move(f));
 }
 
-std::string Runtime::QueueSnapshot() const {
+std::string Runtime::DescribeQueues() const {
   std::ostringstream os;
   for (int i = 0; i < num_queues(); ++i) {
     const QueueState& q = queues_[static_cast<std::size_t>(i)];
@@ -217,7 +217,7 @@ void Runtime::EnqueueTransfer(int queue, bool is_write,
                        : "reported DMA failure") +
               " on all " + std::to_string(attempt + 1) +
               " attempts (RetryPolicy::max_attempts)",
-          "", "", QueueSnapshot(), attempt + 1);
+          "", "", DescribeQueues(), attempt + 1);
       RecordFault(fault);
       throw fault;
     }
@@ -268,7 +268,7 @@ SimTime Runtime::KernelReady(const KernelLaunch& launch, SimTime base) {
               " for " + std::to_string(watchdog_timeout_.us()) +
               " us; writer " + hung->second +
               " hung and will never deliver (deadlock on hardware)",
-          launch.name, chan, QueueSnapshot());
+          launch.name, chan, DescribeQueues());
       RecordFault(fault);
       throw fault;
     }
@@ -279,7 +279,7 @@ SimTime Runtime::KernelReady(const KernelLaunch& launch, SimTime base) {
           std::string(analysis::kChannelNoWriter.id) + ": kernel " +
               launch.name + " reads channel " + chan +
               " with no enqueued producer: this deadlocks on hardware",
-          launch.name, chan, QueueSnapshot());
+          launch.name, chan, DescribeQueues());
       RecordFault(fault);
       throw fault;
     }
@@ -296,7 +296,7 @@ void Runtime::RecordKernel(const KernelLaunch& launch, int queue,
     RuntimeFaultError fault(
         std::string(analysis::kRuntimeUnknownKernel.id),
         "kernel " + launch.name + " is not in the programmed bitstream",
-        launch.name, "", QueueSnapshot());
+        launch.name, "", DescribeQueues());
     RecordFault(fault);
     throw fault;
   }
@@ -322,7 +322,7 @@ void Runtime::RecordKernel(const KernelLaunch& launch, int queue,
             std::to_string(fault.corrupt_times) +
             " consecutive executions (RetryPolicy::max_attempts=" +
             std::to_string(retry_policy_.max_attempts) + ")",
-        launch.name, "", QueueSnapshot(), retry_policy_.max_attempts);
+        launch.name, "", DescribeQueues(), retry_policy_.max_attempts);
     RecordFault(err);
     throw err;
   }
@@ -396,7 +396,7 @@ void Runtime::RecordKernel(const KernelLaunch& launch, int queue,
           std::string(analysis::kChannelEndpoints.id) + ": channel " + chan +
               " written by more than one kernel in a batch (last: " +
               launch.name + "); Intel channels are strictly point-to-point",
-          launch.name, chan, QueueSnapshot());
+          launch.name, chan, DescribeQueues());
       RecordFault(fault2);
       throw fault2;
     }
@@ -458,7 +458,7 @@ SimTime Runtime::Finish() {
             (channel.empty() ? ""
                              : " and channel " + channel +
                                    " will never be ready"),
-        kernel, channel, QueueSnapshot());
+        kernel, channel, DescribeQueues());
     RecordFault(fault);
     throw fault;
   }
@@ -536,7 +536,7 @@ void Runtime::ExportMetrics(obs::Registry& registry,
         .Set(static_cast<double>(usage.invocations));
   }
   // Event-duration quantiles come from the runtime-owned log-bucketed
-  // histogram; exporting them as gauges (not MergeFrom into a registry
+  // histogram; exporting them as gauges (not re-observed into a registry
   // histogram) keeps repeated exports idempotent.
   if (const obs::Histogram::Snapshot ev = event_duration_us_.snapshot();
       ev.count > 0) {

@@ -30,13 +30,9 @@ void EmitProcessName(std::ostringstream& os, int pid,
      << ",\"args\":{\"name\":\"" << JsonEscape(name) << "\"}}";
 }
 
-// The emitters template over the event range so both representations --
-// std::vector<ProfiledEvent> (AoS snapshots, tests) and the runtime's
-// EventPool (SoA views) -- serialize through one code path.
-template <typename Events>
-void EmitRuntimeEvents(std::ostringstream& os, const Events& events,
+void EmitRuntimeEvents(std::ostringstream& os, const EventPool& events,
                        int pid) {
-  for (const auto& ev : events) {
+  for (const EventPool::View ev : events) {
     // Autorun kernels (queue -1) land on tid 0; queue q on tid q+1.
     const int tid = ev.queue + 1;
     // Channel-stall time precedes execution (the kernel was dispatched at
@@ -65,8 +61,8 @@ void EmitRuntimeEvents(std::ostringstream& os, const Events& events,
 /// the middle, "f" binding-to-enclosing at the last), so Perfetto renders
 /// the request's path across queues. Events are already in span order
 /// (the recorder numbers them on the single host thread).
-template <typename Events>
-void EmitFlowEvents(std::ostringstream& os, const Events& events, int pid) {
+void EmitFlowEvents(std::ostringstream& os, const EventPool& events,
+                    int pid) {
   // Pool iteration yields Views by value, so group (queue, start) copies
   // rather than pointers into the range.
   struct FlowPoint {
@@ -74,7 +70,7 @@ void EmitFlowEvents(std::ostringstream& os, const Events& events, int pid) {
     SimTime start;
   };
   std::map<std::uint64_t, std::vector<FlowPoint>> requests;
-  for (const auto& ev : events) {
+  for (const EventPool::View ev : events) {
     if (ev.trace_id != 0) {
       requests[ev.trace_id].push_back({ev.queue, ev.start});
     }
@@ -98,12 +94,11 @@ void EmitFlowEvents(std::ostringstream& os, const Events& events, int pid) {
 /// how many transfer bytes are in flight at each instant. Deltas at equal
 /// timestamps merge into one sample, so zero-duration events contribute
 /// nothing (correctly).
-template <typename Events>
-void EmitCounterTracks(std::ostringstream& os, const Events& events,
+void EmitCounterTracks(std::ostringstream& os, const EventPool& events,
                        int pid) {
   std::map<double, double> occupancy;    // ts -> delta concurrent commands
   std::map<double, double> outstanding;  // ts -> delta in-flight bytes
-  for (const auto& ev : events) {
+  for (const EventPool::View ev : events) {
     occupancy[ev.start.us()] += 1;
     occupancy[ev.end.us()] -= 1;
     if (ev.kind != CommandKind::kKernel && ev.bytes > 0) {
@@ -141,45 +136,38 @@ void EmitCompileSpans(std::ostringstream& os,
   }
 }
 
-template <typename Events>
-std::string ExportChromeTraceImpl(const Events& events,
-                                  const std::string& process_name) {
+}  // namespace
+
+std::string ExportChromeTrace(const EventPool& events,
+                              const std::vector<obs::SpanRecord>& compile_spans,
+                              const std::string& process_name) {
+  // No compile spans: the single-process layout, runtime on pid 1.
+  const int runtime_pid = compile_spans.empty() ? 1 : 2;
   std::ostringstream os;
   os << "{\"traceEvents\":[";
-  EmitProcessName(os, 1, process_name);
-  EmitRuntimeEvents(os, events, /*pid=*/1);
-  EmitFlowEvents(os, events, /*pid=*/1);
-  EmitCounterTracks(os, events, /*pid=*/1);
+  if (compile_spans.empty()) {
+    EmitProcessName(os, 1, process_name);
+  } else {
+    EmitProcessName(os, 1, process_name + " compile (wall clock)");
+    os << ",";
+    EmitProcessName(os, 2, process_name + " runtime (simulated clock)");
+    EmitCompileSpans(os, compile_spans, /*pid=*/1);
+  }
+  EmitRuntimeEvents(os, events, runtime_pid);
+  EmitFlowEvents(os, events, runtime_pid);
+  EmitCounterTracks(os, events, runtime_pid);
   os << "]}";
   return os.str();
 }
 
-template <typename Events>
-std::string ExportChromeTraceImpl(
-    const Events& events, const std::vector<obs::SpanRecord>& compile_spans,
-    const std::string& process_name) {
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  EmitProcessName(os, 1, process_name + " compile (wall clock)");
-  os << ",";
-  EmitProcessName(os, 2, process_name + " runtime (simulated clock)");
-  EmitCompileSpans(os, compile_spans, /*pid=*/1);
-  EmitRuntimeEvents(os, events, /*pid=*/2);
-  EmitFlowEvents(os, events, /*pid=*/2);
-  EmitCounterTracks(os, events, /*pid=*/2);
-  os << "]}";
-  return os.str();
-}
-
-template <typename Events>
-telemetry::RequestSummary SummarizeRequestImpl(const Events& events,
-                                               std::uint64_t trace_id) {
+telemetry::RequestSummary SummarizeRequest(const EventPool& events,
+                                           std::uint64_t trace_id) {
   telemetry::RequestSummary req;
   req.trace_id = trace_id;
   SimTime first_queued, last_end;
   SimTime worst_stall;
   bool any = false;
-  for (const auto& ev : events) {
+  for (const EventPool::View ev : events) {
     if (ev.trace_id != trace_id) continue;
     ++req.events;
     if (!any || ev.queued < first_queued) first_queued = ev.queued;
@@ -198,40 +186,6 @@ telemetry::RequestSummary SummarizeRequestImpl(const Events& events,
   req.max_stall_us = worst_stall.us();
   if (any) req.latency_us = (last_end - first_queued).us();
   return req;
-}
-
-}  // namespace
-
-std::string ExportChromeTrace(const std::vector<ProfiledEvent>& events,
-                              const std::string& process_name) {
-  return ExportChromeTraceImpl(events, process_name);
-}
-
-std::string ExportChromeTrace(const EventPool& events,
-                              const std::string& process_name) {
-  return ExportChromeTraceImpl(events, process_name);
-}
-
-std::string ExportChromeTrace(const std::vector<ProfiledEvent>& events,
-                              const std::vector<obs::SpanRecord>& compile_spans,
-                              const std::string& process_name) {
-  return ExportChromeTraceImpl(events, compile_spans, process_name);
-}
-
-std::string ExportChromeTrace(const EventPool& events,
-                              const std::vector<obs::SpanRecord>& compile_spans,
-                              const std::string& process_name) {
-  return ExportChromeTraceImpl(events, compile_spans, process_name);
-}
-
-telemetry::RequestSummary SummarizeRequest(
-    const std::vector<ProfiledEvent>& events, std::uint64_t trace_id) {
-  return SummarizeRequestImpl(events, trace_id);
-}
-
-telemetry::RequestSummary SummarizeRequest(const EventPool& events,
-                                           std::uint64_t trace_id) {
-  return SummarizeRequestImpl(events, trace_id);
 }
 
 }  // namespace clflow::ocl

@@ -5,11 +5,10 @@
 // command queue plus a row for autorun kernels -- the visual counterpart
 // of the paper's Figure 6.2 breakdown.
 //
-// The two-argument overload additionally merges compile-phase spans
-// (obs::Tracer) into the same trace as a second process, so one Perfetto
-// view shows the whole flow: wall-clock compilation on pid 1, simulated
-// execution on pid 2. The clocks are unrelated; the process split keeps
-// that explicit.
+// Compile-phase spans (obs::Tracer), when given, merge into the same
+// trace as a second process, so one Perfetto view shows the whole flow:
+// wall-clock compilation on pid 1, simulated execution on pid 2. The
+// clocks are unrelated; the process split keeps that explicit.
 #pragma once
 
 #include <cstdint>
@@ -22,37 +21,27 @@
 
 namespace clflow::ocl {
 
-/// Serializes events as a Chrome trace. Timestamps are the simulated
-/// clock in microseconds; queues map to thread ids (autorun = tid 0).
-/// Channel-stall time renders as a separate "<label> [stall]" slice (cat
-/// "stall") preceding the kernel slice, and two counter tracks ("ph":"C")
-/// plot queue occupancy (concurrent commands) and outstanding transfer
-/// bytes over time.
-[[nodiscard]] std::string ExportChromeTrace(
-    const std::vector<ProfiledEvent>& events,
-    const std::string& process_name = "clflow");
-
-/// Pool overload: iterates the runtime's SoA event pool directly, without
-/// materializing an AoS snapshot first.
-[[nodiscard]] std::string ExportChromeTrace(
-    const EventPool& events, const std::string& process_name = "clflow");
-
-/// Same, plus compile-phase spans as an extra process ("compile, wall
-/// clock"). Span nesting renders via duration containment on one track.
+/// Serializes the runtime's event pool as a Chrome trace. Timestamps are
+/// the simulated clock in microseconds; queues map to thread ids (autorun
+/// = tid 0). Channel-stall time renders as a separate "<label> [stall]"
+/// slice (cat "stall") preceding the kernel slice, and two counter tracks
+/// ("ph":"C") plot queue occupancy (concurrent commands) and outstanding
+/// transfer bytes over time.
 ///
-/// Events stamped with a request trace context (ProfiledEvent::trace_id
-/// != 0) additionally emit causal flow arrows (ph "s"/"t"/"f", flow id =
+/// With no compile spans the trace is one process named `process_name`.
+/// Non-empty compile spans add a second process ("compile, wall clock",
+/// pid 1) ahead of the runtime (pid 2); span nesting renders via duration
+/// containment on one track.
+///
+/// Events stamped with a request trace context (trace_id != 0)
+/// additionally emit causal flow arrows (ph "s"/"t"/"f", flow id =
 /// trace_id) chaining every command of one request across its queues, so
 /// Perfetto draws each inference request as one connected path instead of
 /// flat per-queue slices. Flow ids are the deterministic trace ids, so
 /// the export is bit-stable across runs and thread counts.
 [[nodiscard]] std::string ExportChromeTrace(
-    const std::vector<ProfiledEvent>& events,
-    const std::vector<obs::SpanRecord>& compile_spans,
-    const std::string& process_name = "clflow");
-
-[[nodiscard]] std::string ExportChromeTrace(
-    const EventPool& events, const std::vector<obs::SpanRecord>& compile_spans,
+    const EventPool& events,
+    const std::vector<obs::SpanRecord>& compile_spans = {},
     const std::string& process_name = "clflow");
 
 /// Folds one request's events (those whose trace_id matches) into the
@@ -61,9 +50,6 @@ namespace clflow::ocl {
 /// the dominant stall. `ok` is left true; the caller flips it when the
 /// request faulted. Lives in ocl (not telemetry) so clflow_telemetry
 /// never depends on the runtime layer.
-[[nodiscard]] telemetry::RequestSummary SummarizeRequest(
-    const std::vector<ProfiledEvent>& events, std::uint64_t trace_id);
-
 [[nodiscard]] telemetry::RequestSummary SummarizeRequest(
     const EventPool& events, std::uint64_t trace_id);
 

@@ -54,17 +54,11 @@ std::string_view BottleneckName(Bottleneck b) {
   return "?";
 }
 
-namespace {
-
-// Templated over the event range so the runtime's SoA EventPool (Views
-// with string_view labels) and AoS std::vector<ProfiledEvent> snapshots
-// both attribute through one implementation.
-template <typename Events>
-Profile AttributeEventsImpl(const core::Deployment& d, const Events& events,
-                            double makespan_us,
-                            const std::vector<double>& queue_busy_us,
-                            const std::vector<double>& queue_idle_us,
-                            const ProfileOptions& opts) {
+Profile AttributeEvents(const core::Deployment& d,
+                        const ocl::EventPool& events, double makespan_us,
+                        const std::vector<double>& queue_busy_us,
+                        const std::vector<double>& queue_idle_us,
+                        const ProfileOptions& opts) {
   (void)opts;
   if (!d.ok()) {
     throw Error("cannot profile a deployment that did not synthesize: " +
@@ -89,7 +83,7 @@ Profile AttributeEventsImpl(const core::Deployment& d, const Events& events,
 
   std::map<std::string, KernelProfile> by_kernel;
   std::size_t clean_ordinal = 0;
-  for (const auto& ev : events) {
+  for (const ocl::EventPool::View ev : events) {
     const std::string label(ev.label);
     const bool fault = IsFaultSlice(label);
     const char* kind = ev.kind == ocl::CommandKind::kWriteBuffer ? "write"
@@ -212,27 +206,6 @@ Profile AttributeEventsImpl(const core::Deployment& d, const Events& events,
   return p;
 }
 
-}  // namespace
-
-Profile AttributeEvents(const core::Deployment& d,
-                        const std::vector<ocl::ProfiledEvent>& events,
-                        double makespan_us,
-                        const std::vector<double>& queue_busy_us,
-                        const std::vector<double>& queue_idle_us,
-                        const ProfileOptions& opts) {
-  return AttributeEventsImpl(d, events, makespan_us, queue_busy_us,
-                             queue_idle_us, opts);
-}
-
-Profile AttributeEvents(const core::Deployment& d,
-                        const ocl::EventPool& events, double makespan_us,
-                        const std::vector<double>& queue_busy_us,
-                        const std::vector<double>& queue_idle_us,
-                        const ProfileOptions& opts) {
-  return AttributeEventsImpl(d, events, makespan_us, queue_busy_us,
-                             queue_idle_us, opts);
-}
-
 Profile BuildProfile(core::Deployment& d, const Tensor& input,
                      const ProfileOptions& opts) {
   ocl::Runtime& rt = d.runtime();
@@ -250,7 +223,6 @@ Profile BuildProfile(core::Deployment& d, const Tensor& input,
     busy.push_back((u.busy - before[static_cast<std::size_t>(q)].busy).us());
     idle.push_back((u.idle - before[static_cast<std::size_t>(q)].idle).us());
   }
-  // Attribute straight off the SoA pool -- no AoS snapshot materialized.
   return AttributeEvents(d, rt.event_pool(), r.latency.us(), busy, idle,
                          opts);
 }

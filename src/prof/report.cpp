@@ -11,6 +11,7 @@ namespace clflow::prof {
 
 namespace {
 
+using obs::HtmlEscape;
 using obs::JsonEscape;
 using obs::JsonNum;
 
@@ -38,7 +39,7 @@ std::string ToText(const Profile& p) {
          Table::Pct(k.share), Us(k.compute_us), Us(k.memory_us),
          Us(k.fmax_us), Us(k.stall_us), Us(k.launch_us),
          std::string(BottleneckName(k.bottleneck)),
-         (k.drift >= 0 ? "+" : "") + Table::Pct(k.drift, 1)});
+         std::string(k.drift >= 0 ? "+" : "").append(Table::Pct(k.drift, 1))});
   }
   os << attribution.ToString() << "\n";
 
@@ -135,22 +136,6 @@ std::string ToJson(const Profile& p) {
 }
 
 namespace {
-
-/// HTML attribute/text escaping (subset sufficient for kernel names).
-std::string HtmlEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 const char* SliceColor(const std::string& kind) {
   if (kind == "write") return "#4c8dd6";

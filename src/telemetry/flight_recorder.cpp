@@ -12,7 +12,7 @@ std::string SequencedDumpPath(const std::string& path, std::uint64_t seq) {
   if (seq == 0) return path;
   const std::size_t slash = path.find_last_of('/');
   const std::size_t dot = path.find_last_of('.');
-  const std::string suffix = "." + std::to_string(seq);
+  const std::string suffix = std::string(".").append(std::to_string(seq));
   if (dot == std::string::npos ||
       (slash != std::string::npos && dot < slash)) {
     return path + suffix;  // no extension: append

@@ -1,6 +1,8 @@
 #include "telemetry/slo.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "analysis/codes.hpp"
 #include "obs/json.hpp"
@@ -11,7 +13,6 @@ SloMonitor::SloMonitor(SloSpec spec) : spec_(spec) {
   if (spec_.window == 0) spec_.window = 1;
   if (spec_.slow_windows == 0) spec_.slow_windows = 1;
   if (spec_.fast_windows == 0) spec_.fast_windows = 1;
-  latency_.set_window(spec_.window);
   const obs::WindowSpec ws{spec_.window_resolution, spec_.slow_windows};
   requests_ts_ = obs::TimeSeries(obs::TimeSeries::Kind::kCounter, ws);
   violations_ts_ = obs::TimeSeries(obs::TimeSeries::Kind::kCounter, ws);
@@ -20,12 +21,11 @@ SloMonitor::SloMonitor(SloSpec spec) : spec_(spec) {
 bool SloMonitor::FoldRequest(const RequestSummary& request,
                              analysis::DiagnosticEngine* diags) {
   ++total_;
-  latency_.Observe(request.latency_us);
   const bool late = spec_.latency_objective_us > 0.0 &&
                     request.latency_us > spec_.latency_objective_us;
   const bool violation = !request.ok || late;
   if (violation) ++total_violations_;
-  window_.push_back({violation});
+  window_.push_back({request.latency_us, violation});
   if (violation) ++window_violations_;
   if (window_.size() > spec_.window) {
     if (window_.front().violation) --window_violations_;
@@ -145,7 +145,20 @@ double SloMonitor::burn_rate() const {
 double SloMonitor::goodput() const { return 1.0 - violation_rate(); }
 
 obs::Histogram::Snapshot SloMonitor::WindowLatency() const {
-  return latency_.snapshot();
+  std::vector<double> sorted;
+  sorted.reserve(window_.size());
+  for (const WindowEntry& e : window_) sorted.push_back(e.latency_us);
+  std::sort(sorted.begin(), sorted.end());
+  obs::Histogram::Snapshot s;
+  s.count = static_cast<std::int64_t>(sorted.size());
+  if (sorted.empty()) return s;
+  for (double v : sorted) s.sum += v;
+  s.min = sorted.front();
+  s.max = sorted.back();
+  s.p50 = obs::Percentile(sorted, 0.50);
+  s.p95 = obs::Percentile(sorted, 0.95);
+  s.p99 = obs::Percentile(sorted, 0.99);
+  return s;
 }
 
 void SloMonitor::ExportMetrics(obs::Registry& registry,
@@ -171,8 +184,8 @@ void SloMonitor::ExportMetrics(obs::Registry& registry,
       .Set(static_cast<double>(starved_requests_));
   obs::Histogram& h =
       registry.histogram("telemetry.slo.latency_us", base_labels);
-  h.set_window(spec_.window);
-  for (double v : latency_.window_samples()) h.Observe(v);
+  h.Clear();
+  for (const WindowEntry& e : window_) h.Observe(e.latency_us);
 }
 
 std::string SloMonitor::ToText() const {

@@ -4,7 +4,7 @@
 // measurement substrate before a scheduler exists: a declared SloSpec, a
 // sliding window of per-request summaries, and an error-budget burn rate
 // that says how fast the declared objective is being spent. Requests are
-// summarized from the runtime's ProfiledEvent stream (ocl::SummarizeRequest
+// summarized from the runtime's event pool (ocl::SummarizeRequest
 // bridges the two layers); the monitor only sees RequestSummary, so
 // clflow_telemetry depends on obs + analysis and nothing above them.
 //
@@ -81,7 +81,7 @@ struct RequestSummary {
   double max_stall_us = 0.0;   ///< largest single-event channel stall
   double queue_wait_us = 0.0;  ///< enqueue-to-start wait, summed
   int queue = 0;               ///< queue carrying the dominant stall
-  std::size_t events = 0;      ///< ProfiledEvents attributed to the request
+  std::size_t events = 0;      ///< events attributed to the request
   bool ok = true;              ///< false when the request faulted
 };
 
@@ -126,11 +126,14 @@ class SloMonitor {
   [[nodiscard]] const obs::TimeSeries& violation_series() const {
     return violations_ts_;
   }
-  /// Latency distribution over the window (p50/p95/p99 via obs).
+  /// Latency distribution over the window: exact nearest-rank
+  /// p50/p95/p99 (obs::Percentile) of the windowed requests; all zeros
+  /// for an empty window.
   [[nodiscard]] obs::Histogram::Snapshot WindowLatency() const;
 
-  /// Writes telemetry.slo.* gauges (+ the windowed latency histogram)
-  /// into `registry`.
+  /// Writes telemetry.slo.* gauges into `registry`, and refills the
+  /// telemetry.slo.latency_us histogram with the window's latencies (it
+  /// is cleared first, so repeated exports are idempotent).
   void ExportMetrics(obs::Registry& registry,
                      const obs::Labels& base_labels = {}) const;
 
@@ -139,6 +142,7 @@ class SloMonitor {
 
  private:
   struct WindowEntry {
+    double latency_us = 0.0;
     bool violation = false;
   };
 
@@ -149,8 +153,7 @@ class SloMonitor {
   [[nodiscard]] double BurnOverWindows(std::size_t windows) const;
 
   SloSpec spec_;
-  obs::Histogram latency_;  ///< windowed to spec_.window
-  std::deque<WindowEntry> window_;
+  std::deque<WindowEntry> window_;     ///< the last spec_.window requests
   std::size_t window_violations_ = 0;  ///< violations in window_ (O(1) rate)
   obs::TimeSeries requests_ts_;        ///< timestamped requests per window
   obs::TimeSeries violations_ts_;      ///< timestamped violations per window

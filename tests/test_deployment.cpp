@@ -170,11 +170,11 @@ TEST_F(LeNetDeployment, InstantiatedCopyRunsTheSameDesignIndependently) {
   EXPECT_EQ(a.trace_id, b.trace_id);
 
   // ClearEvents on one instance leaves the other's event stream alone.
-  const std::size_t events = copy.runtime().events().size();
+  const std::size_t events = copy.runtime().event_pool().size();
   ASSERT_GT(events, 0u);
   d.runtime().ClearEvents();
-  EXPECT_TRUE(d.runtime().events().empty());
-  EXPECT_EQ(copy.runtime().events().size(), events);
+  EXPECT_TRUE(d.runtime().event_pool().empty());
+  EXPECT_EQ(copy.runtime().event_pool().size(), events);
 
   // A fault injected into one instance never reaches the other.
   resilience::FaultPlan plan;

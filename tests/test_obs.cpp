@@ -4,8 +4,10 @@
 // compile+runtime Chrome trace).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -42,18 +44,29 @@ TEST(Metrics, GaugeLastWriteWins) {
 }
 
 TEST(Metrics, HistogramPercentilesNearestRank) {
+  // Exact nearest rank is the shared helper's contract.
+  std::vector<double> sorted;
+  for (int i = 1; i <= 100; ++i) sorted.push_back(i);
+  EXPECT_DOUBLE_EQ(Percentile(sorted, 0.50), 50.0);
+  EXPECT_DOUBLE_EQ(Percentile(sorted, 0.95), 95.0);
+  EXPECT_DOUBLE_EQ(Percentile(sorted, 0.99), 99.0);
+  EXPECT_DOUBLE_EQ(Percentile(sorted, 0.0), 1.0);  // rank clamps to 1
+  EXPECT_DOUBLE_EQ(Percentile(sorted, 1.0), 100.0);
+  EXPECT_DOUBLE_EQ(Percentile({}, 0.5), 0.0);
+
+  // A registry histogram is log-bucketed: count/sum/min/max stay exact,
+  // quantiles land within the documented 1%.
   Registry reg;
   Histogram& h = reg.histogram("lat");
-  h.set_retain_samples(true);  // exact quantiles need the samples
   for (int i = 1; i <= 100; ++i) h.Observe(i);
   const auto snap = h.snapshot();
   EXPECT_EQ(snap.count, 100);
   EXPECT_DOUBLE_EQ(snap.sum, 5050.0);
   EXPECT_DOUBLE_EQ(snap.min, 1.0);
   EXPECT_DOUBLE_EQ(snap.max, 100.0);
-  EXPECT_DOUBLE_EQ(snap.p50, 50.0);
-  EXPECT_DOUBLE_EQ(snap.p95, 95.0);
-  EXPECT_DOUBLE_EQ(snap.p99, 99.0);
+  EXPECT_NEAR(snap.p50, 50.0, 50.0 * 0.01);
+  EXPECT_NEAR(snap.p95, 95.0, 95.0 * 0.01);
+  EXPECT_NEAR(snap.p99, 99.0, 99.0 * 0.01);
 }
 
 TEST(Metrics, HistogramSingleSample) {
@@ -158,7 +171,6 @@ TEST(Json, RegistryToJsonParses) {
   Registry reg;
   reg.counter("ir.pass.applied", {{"pass", "SplitLoop"}}).Add(4);
   reg.gauge("synth.fmax_mhz").Set(241.0);
-  reg.histogram("synth.kernel.aluts").set_retain_samples(true);
   for (int i = 0; i < 10; ++i) {
     reg.histogram("synth.kernel.aluts").Observe(1000.0 * i);
   }
@@ -180,9 +192,10 @@ TEST(Json, RegistryToJsonParses) {
   ASSERT_EQ(hists->array.size(), 1u);
   EXPECT_DOUBLE_EQ(hists->array[0].Find("count")->number, 10.0);
   EXPECT_DOUBLE_EQ(hists->array[0].Find("max")->number, 9000.0);
-  // Nearest-rank p99 of {0, 1000, ..., 9000} is the last sample.
+  // Nearest-rank p99 of {0, 1000, ..., 9000} is the last sample; the
+  // log-bucketed histogram reports it within 1%.
   ASSERT_NE(hists->array[0].Find("p99"), nullptr);
-  EXPECT_DOUBLE_EQ(hists->array[0].Find("p99")->number, 9000.0);
+  EXPECT_NEAR(hists->array[0].Find("p99")->number, 9000.0, 90.0);
 }
 
 TEST(Json, RegistryCsvHasP99Column) {
@@ -206,10 +219,9 @@ TEST(Json, RegistryCsvHasOneRowPerStat) {
 // --------------------------------------------------------- chrome trace
 
 TEST(Trace, MergedCompileRuntimeTraceIsValidJson) {
-  std::vector<ocl::ProfiledEvent> events;
-  events.push_back({"k_conv\"1\"", ocl::CommandKind::kKernel, 0,
-                    SimTime::Us(1), SimTime::Us(2), SimTime::Us(5),
-                    kSimTimeZero, 0});
+  ocl::EventPool events;
+  events.Record("k_conv\"1\"", ocl::CommandKind::kKernel, 0, SimTime::Us(1),
+                SimTime::Us(2), SimTime::Us(5), kSimTimeZero, 0, 0, 0, 0);
 
   Telemetry telemetry;
   {
@@ -260,20 +272,49 @@ TEST(Trace, MergedCompileRuntimeTraceIsValidJson) {
 }
 
 TEST(Trace, EmptyEventListIsValidJson) {
-  const std::string trace = ocl::ExportChromeTrace(
-      std::vector<ocl::ProfiledEvent>{}, "empty@board");
+  const std::string trace =
+      ocl::ExportChromeTrace(ocl::EventPool{}, {}, "empty@board");
   const auto parsed = json::Parse(trace);
   ASSERT_TRUE(parsed.has_value()) << trace;
   // Only the process_name metadata event; no counters for no events.
   ASSERT_EQ(parsed->Find("traceEvents")->array.size(), 1u);
 }
 
+TEST(Trace, NoCompileSpansKeepsSingleProcessLayout) {
+  ocl::EventPool events;
+  events.Record("k_a", ocl::CommandKind::kKernel, 0, SimTime::Us(0),
+                SimTime::Us(1), SimTime::Us(3), kSimTimeZero, 0, 0, 0, 0);
+  // Both call shapes (spans omitted, spans empty) give one byte-identical
+  // single-process trace: the runtime named `process_name` on pid 1.
+  const std::string omitted = ocl::ExportChromeTrace(events);
+  EXPECT_EQ(omitted, ocl::ExportChromeTrace(events, {}, "clflow"));
+  const auto parsed = json::Parse(omitted);
+  ASSERT_TRUE(parsed.has_value()) << omitted;
+  int metadata = 0;
+  for (const auto& ev : parsed->Find("traceEvents")->array) {
+    EXPECT_DOUBLE_EQ(ev.Find("pid")->number, 1.0);
+    if (ev.Find("ph")->str == "M") {
+      ++metadata;
+      EXPECT_EQ(ev.Find("args")->Find("name")->str, "clflow");
+    }
+  }
+  EXPECT_EQ(metadata, 1);
+
+  // A compile span switches to the two-process layout.
+  std::vector<SpanRecord> spans(1);
+  spans[0].name = "compile";
+  spans[0].category = "compile";
+  const std::string merged = ocl::ExportChromeTrace(events, spans);
+  EXPECT_NE(merged.find("clflow compile (wall clock)"), std::string::npos);
+  EXPECT_NE(merged.find("clflow runtime (simulated clock)"),
+            std::string::npos);
+}
+
 TEST(Trace, ZeroDurationEventContributesNoOccupancy) {
-  std::vector<ocl::ProfiledEvent> events;
-  events.push_back({"k_instant", ocl::CommandKind::kKernel, 0,
-                    SimTime::Us(1), SimTime::Us(2), SimTime::Us(2),
-                    kSimTimeZero, 0});
-  const std::string trace = ocl::ExportChromeTrace(events, "z@board");
+  ocl::EventPool events;
+  events.Record("k_instant", ocl::CommandKind::kKernel, 0, SimTime::Us(1),
+                SimTime::Us(2), SimTime::Us(2), kSimTimeZero, 0, 0, 0, 0);
+  const std::string trace = ocl::ExportChromeTrace(events, {}, "z@board");
   const auto parsed = json::Parse(trace);
   ASSERT_TRUE(parsed.has_value()) << trace;
   for (const auto& ev : parsed->Find("traceEvents")->array) {
@@ -284,12 +325,11 @@ TEST(Trace, ZeroDurationEventContributesNoOccupancy) {
 }
 
 TEST(Trace, StallRendersAsDistinguishableSlice) {
-  std::vector<ocl::ProfiledEvent> events;
+  ocl::EventPool events;
   // Dispatched at 4us, blocked on channels until 10us, done at 16us.
-  events.push_back({"k_stalled", ocl::CommandKind::kKernel, 1,
-                    SimTime::Us(3), SimTime::Us(10), SimTime::Us(16),
-                    SimTime::Us(6), 0});
-  const std::string trace = ocl::ExportChromeTrace(events, "s@board");
+  events.Record("k_stalled", ocl::CommandKind::kKernel, 1, SimTime::Us(3),
+                SimTime::Us(10), SimTime::Us(16), SimTime::Us(6), 0, 0, 0, 0);
+  const std::string trace = ocl::ExportChromeTrace(events, {}, "s@board");
   const auto parsed = json::Parse(trace);
   ASSERT_TRUE(parsed.has_value()) << trace;
   const json::Value* stall = nullptr;
@@ -311,14 +351,13 @@ TEST(Trace, StallRendersAsDistinguishableSlice) {
 }
 
 TEST(Trace, TransferBytesCounterAndEscapedLabelsRoundTrip) {
-  std::vector<ocl::ProfiledEvent> events;
-  events.push_back({"h2d \"in\"\n", ocl::CommandKind::kWriteBuffer, 0,
-                    kSimTimeZero, SimTime::Us(0), SimTime::Us(4),
-                    kSimTimeZero, 4096});
-  events.push_back({"d2h", ocl::CommandKind::kReadBuffer, 0,
-                    SimTime::Us(2), SimTime::Us(2), SimTime::Us(6),
-                    kSimTimeZero, 1024});
-  const std::string trace = ocl::ExportChromeTrace(events, "x@board");
+  ocl::EventPool events;
+  events.Record("h2d \"in\"\n", ocl::CommandKind::kWriteBuffer, 0,
+                kSimTimeZero, SimTime::Us(0), SimTime::Us(4), kSimTimeZero,
+                4096, 0, 0, 0);
+  events.Record("d2h", ocl::CommandKind::kReadBuffer, 0, SimTime::Us(2),
+                SimTime::Us(2), SimTime::Us(6), kSimTimeZero, 1024, 0, 0, 0);
+  const std::string trace = ocl::ExportChromeTrace(events, {}, "x@board");
   const auto parsed = json::Parse(trace);
   ASSERT_TRUE(parsed.has_value()) << trace;
   bool saw_label = false;
@@ -341,71 +380,6 @@ TEST(Trace, TransferBytesCounterAndEscapedLabelsRoundTrip) {
   EXPECT_DOUBLE_EQ(samples[3], 0.0);
 }
 
-// ------------------------------------------------- histogram windowing
-
-TEST(Metrics, HistogramSlidingWindowEvictsOldest) {
-  Histogram h;
-  h.set_window(3);
-  for (int i = 1; i <= 5; ++i) h.Observe(i);
-  const auto snap = h.snapshot();
-  EXPECT_EQ(snap.count, 3);  // only {3, 4, 5} retained
-  EXPECT_DOUBLE_EQ(snap.min, 3.0);
-  EXPECT_DOUBLE_EQ(snap.max, 5.0);
-  EXPECT_DOUBLE_EQ(snap.sum, 12.0);
-  EXPECT_DOUBLE_EQ(snap.p50, 4.0);
-
-  const auto samples = h.window_samples();
-  ASSERT_EQ(samples.size(), 3u);
-  EXPECT_DOUBLE_EQ(samples.front(), 3.0);  // oldest first
-  EXPECT_DOUBLE_EQ(samples.back(), 5.0);
-}
-
-TEST(Metrics, HistogramShrinkingWindowEvictsImmediately) {
-  Histogram h;
-  h.set_retain_samples(true);  // windows are a retained-mode feature
-  for (int i = 1; i <= 10; ++i) h.Observe(i);
-  h.set_window(2);
-  const auto snap = h.snapshot();
-  EXPECT_EQ(snap.count, 2);
-  EXPECT_DOUBLE_EQ(snap.min, 9.0);
-  EXPECT_DOUBLE_EQ(snap.max, 10.0);
-  // Widening again never resurrects evicted samples.
-  h.set_window(0);
-  EXPECT_EQ(h.snapshot().count, 2);
-}
-
-TEST(Metrics, HistogramEmptyAndSingleSampleWindowsAreConsistent) {
-  Histogram h;
-  h.set_window(4);
-  // Empty: every statistic is exactly zero, no stale carryover possible.
-  auto snap = h.snapshot();
-  EXPECT_EQ(snap.count, 0);
-  EXPECT_DOUBLE_EQ(snap.p50, 0.0);
-  EXPECT_DOUBLE_EQ(snap.p95, 0.0);
-  EXPECT_DOUBLE_EQ(snap.p99, 0.0);
-  EXPECT_DOUBLE_EQ(snap.min, 0.0);
-  EXPECT_DOUBLE_EQ(snap.max, 0.0);
-  EXPECT_DOUBLE_EQ(snap.sum, 0.0);
-
-  // One sample: every percentile is that sample.
-  h.Observe(42.0);
-  snap = h.snapshot();
-  EXPECT_EQ(snap.count, 1);
-  EXPECT_DOUBLE_EQ(snap.p50, 42.0);
-  EXPECT_DOUBLE_EQ(snap.p95, 42.0);
-  EXPECT_DOUBLE_EQ(snap.p99, 42.0);
-
-  // Full rotation: statistics reflect only the live window, nothing of
-  // the original sample remains.
-  for (int i = 0; i < 4; ++i) h.Observe(7.0);
-  snap = h.snapshot();
-  EXPECT_EQ(snap.count, 4);
-  EXPECT_DOUBLE_EQ(snap.min, 7.0);
-  EXPECT_DOUBLE_EQ(snap.max, 7.0);
-  EXPECT_DOUBLE_EQ(snap.p99, 7.0);
-  EXPECT_DOUBLE_EQ(snap.sum, 28.0);
-}
-
 // ------------------------------------------------- Prometheus export
 
 TEST(Metrics, ToPrometheusExposesAllMetricKinds) {
@@ -413,7 +387,6 @@ TEST(Metrics, ToPrometheusExposesAllMetricKinds) {
   reg.counter("compile.cache.hits").Add(3);
   reg.gauge("telemetry.slo.burn_rate", {{"board", "s10mx"}}).Set(1.5);
   Histogram& h = reg.histogram("telemetry.slo.latency_us");
-  h.set_retain_samples(true);  // the assertions below are exact quantiles
   for (int i = 1; i <= 100; ++i) h.Observe(i);
 
   const std::string text = reg.ToPrometheus();
@@ -428,10 +401,17 @@ TEST(Metrics, ToPrometheusExposesAllMetricKinds) {
   // Histograms export as summaries: quantiles plus _sum/_count.
   EXPECT_NE(text.find("# TYPE telemetry_slo_latency_us summary"),
             std::string::npos);
-  EXPECT_NE(text.find("telemetry_slo_latency_us{quantile=\"0.5\"} 50"),
-            std::string::npos);
-  EXPECT_NE(text.find("telemetry_slo_latency_us{quantile=\"0.99\"} 99"),
-            std::string::npos);
+  // Quantile samples are log-bucketed: within 1% of the exact rank.
+  auto quantile = [&text](const std::string& q) {
+    const std::string key = "telemetry_slo_latency_us{quantile=\"" + q + "\"} ";
+    const std::size_t pos = text.find(key);
+    EXPECT_NE(pos, std::string::npos) << key;
+    return pos == std::string::npos
+               ? 0.0
+               : std::stod(text.substr(pos + key.size()));
+  };
+  EXPECT_NEAR(quantile("0.5"), 50.0, 50.0 * 0.01);
+  EXPECT_NEAR(quantile("0.99"), 99.0, 99.0 * 0.01);
   EXPECT_NE(text.find("telemetry_slo_latency_us_count 100"),
             std::string::npos);
   EXPECT_NE(text.find("telemetry_slo_latency_us_sum 5050"),
@@ -455,47 +435,31 @@ TEST(Metrics, ToPrometheusDeduplicatesTypeHeadersAcrossLabelSets) {
 }
 
 TEST(Metrics, BucketedHistogramQuantilesWithinOnePercent) {
-  // The default (log-bucketed) registry histogram must track exact
-  // nearest-rank quantiles to within 1% relative error -- the obs v2
-  // drift gate that lets serving paths drop sample retention.
+  // A (log-bucketed) registry histogram must track exact nearest-rank
+  // quantiles to within 1% relative error -- the obs v2 drift gate that
+  // lets serving paths keep no samples.
   Registry reg;
   Histogram& bucketed = reg.histogram("bucketed");
-  Histogram exact;
-  exact.set_retain_samples(true);
+  std::vector<double> exact;
+  double exact_sum = 0.0;
   Rng rng(2021);
   for (int i = 0; i < 5000; ++i) {
     const double v = std::exp(rng.NextDouble() * 8.0);
     bucketed.Observe(v);
-    exact.Observe(v);
+    exact.push_back(v);
+    exact_sum += v;
   }
+  std::sort(exact.begin(), exact.end());
   const auto b = bucketed.snapshot();
-  const auto e = exact.snapshot();
-  EXPECT_EQ(b.count, e.count);
-  // Sums agree to rounding (the two modes accumulate in different
-  // orders); min/max are exact in both.
-  EXPECT_NEAR(b.sum, e.sum, std::abs(e.sum) * 1e-12);
-  EXPECT_DOUBLE_EQ(b.min, e.min);
-  EXPECT_DOUBLE_EQ(b.max, e.max);
-  EXPECT_LT(std::abs(b.p50 - e.p50) / e.p50, 0.01);
-  EXPECT_LT(std::abs(b.p95 - e.p95) / e.p95, 0.01);
-  EXPECT_LT(std::abs(b.p99 - e.p99) / e.p99, 0.01);
-}
-
-TEST(Metrics, HistogramMergeAndDigestAreShardOrderDeterministic) {
-  Histogram a, b;
-  for (int i = 0; i < 100; ++i) {
-    (i % 2 == 0 ? a : b).Observe(i + 1);
+  EXPECT_EQ(b.count, static_cast<std::int64_t>(exact.size()));
+  EXPECT_NEAR(b.sum, exact_sum, std::abs(exact_sum) * 1e-12);
+  EXPECT_DOUBLE_EQ(b.min, exact.front());
+  EXPECT_DOUBLE_EQ(b.max, exact.back());
+  for (const auto& [q, got] : {std::pair{0.50, b.p50}, std::pair{0.95, b.p95},
+                               std::pair{0.99, b.p99}}) {
+    const double want = Percentile(exact, q);
+    EXPECT_LT(std::abs(got - want) / want, 0.01) << "q=" << q;
   }
-  // Shard-order merge must digest like the serial stream that observed
-  // a's samples then b's (bucket counts are order-free integers).
-  Histogram ordered;
-  for (int i = 0; i < 100; i += 2) ordered.Observe(i + 1);
-  for (int i = 1; i < 100; i += 2) ordered.Observe(i + 1);
-  Histogram merged;
-  merged.MergeFrom(a);
-  merged.MergeFrom(b);
-  EXPECT_EQ(merged.Digest(), ordered.Digest());
-  EXPECT_EQ(merged.snapshot().count, 100);
 }
 
 TEST(Metrics, ToPrometheusEscapesLabelValues) {
@@ -590,7 +554,7 @@ TEST(Trace, FlowEventIdsAreIdenticalAcrossDseJobCounts) {
     auto d = core::Deployment::Compile(net, opts);
     EXPECT_TRUE(d.ok());
     for (int i = 0; i < 2; ++i) (void)d.Run(image, /*functional=*/false);
-    return ocl::ExportChromeTrace(d.runtime().events());
+    return ocl::ExportChromeTrace(d.runtime().event_pool());
   };
 
   const std::string serial = trace_with_jobs(1);

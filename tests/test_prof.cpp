@@ -245,10 +245,7 @@ TEST(Prof, ReportsRenderInAllFormats) {
 // ------------------------------------------------------------- bench diff
 
 prof::BenchSnapshot Snap(std::map<std::string, double> metrics) {
-  prof::BenchSnapshot s;
-  s.bench = "t";
-  s.metrics = std::move(metrics);
-  return s;
+  return {.bench = "t", .git_describe = "", .metrics = std::move(metrics)};
 }
 
 TEST(BenchDiff, ParseRoundTrip) {
@@ -314,8 +311,12 @@ TEST(BenchDiff, MissingMetricRegressesNewDoesNot) {
                                      Snap({{"b", 2.0}, {"c", 3.0}}));
   EXPECT_TRUE(r.regressed);
   for (const auto& d : r.deltas) {
-    if (d.key == "a") EXPECT_EQ(d.status, prof::MetricStatus::kMissing);
-    if (d.key == "c") EXPECT_EQ(d.status, prof::MetricStatus::kNew);
+    if (d.key == "a") {
+      EXPECT_EQ(d.status, prof::MetricStatus::kMissing);
+    }
+    if (d.key == "c") {
+      EXPECT_EQ(d.status, prof::MetricStatus::kNew);
+    }
   }
 }
 

@@ -1,5 +1,5 @@
 // Tests for the telemetry layer: request-scoped trace-context propagation
-// (Deployment::Run -> ocl::Runtime -> ProfiledEvent -> Chrome-trace flow
+// (Deployment::Run -> ocl::Runtime -> EventPool -> Chrome-trace flow
 // arrows), the flight-recorder ring and its dump-on-fault postmortem, and
 // the SLO monitor's window/burn-rate/diagnostic semantics (CLF701-703).
 #include <gtest/gtest.h>
@@ -71,7 +71,7 @@ TEST(TraceContext, RunStampsEveryEventWithItsRequestId) {
 
   std::set<std::uint64_t> trace_ids;
   std::set<std::uint64_t> span_ids;
-  for (const auto& ev : d.runtime().events()) {
+  for (const auto ev : d.runtime().event_pool()) {
     trace_ids.insert(ev.trace_id);
     EXPECT_NE(ev.span_id, 0u);  // every recorded event gets a span id
     EXPECT_TRUE(span_ids.insert(ev.span_id).second)
@@ -88,7 +88,7 @@ TEST(TraceContext, ChromeTraceEmitsFlowArrowsPerRequest) {
   (void)d.Run(image, /*functional=*/false);
   (void)d.Run(image, /*functional=*/false);
 
-  const std::string trace = ocl::ExportChromeTrace(d.runtime().events());
+  const std::string trace = ocl::ExportChromeTrace(d.runtime().event_pool());
   const auto doc = obs::json::Parse(trace);
   ASSERT_TRUE(doc.has_value());
   const auto* events = doc->Find("traceEvents");
@@ -128,8 +128,8 @@ TEST(TraceContext, TraceIdsAreBitStableAcrossFreshDeployments) {
     (void)d1.Run(image, /*functional=*/false);
     (void)d2.Run(image, /*functional=*/false);
   }
-  EXPECT_EQ(ocl::ExportChromeTrace(d1.runtime().events()),
-            ocl::ExportChromeTrace(d2.runtime().events()));
+  EXPECT_EQ(ocl::ExportChromeTrace(d1.runtime().event_pool()),
+            ocl::ExportChromeTrace(d2.runtime().event_pool()));
 }
 
 // --- flight recorder ---------------------------------------------------------
@@ -321,8 +321,8 @@ TEST(FlightRecorderTest, AttachingARecorderNeverChangesSpanNumbering) {
   auto without = CompileLenet(LenetPipelinedOptions());
   (void)with.Run(image, /*functional=*/false);
   (void)without.Run(image, /*functional=*/false);
-  EXPECT_EQ(ocl::ExportChromeTrace(with.runtime().events()),
-            ocl::ExportChromeTrace(without.runtime().events()));
+  EXPECT_EQ(ocl::ExportChromeTrace(with.runtime().event_pool()),
+            ocl::ExportChromeTrace(without.runtime().event_pool()));
 }
 
 // --- SLO monitor -------------------------------------------------------------
@@ -437,7 +437,7 @@ TEST(Slo, Clf701FiresUnderInjectedFmaxDroop) {
   for (int i = 0; i < 8; ++i) {
     const auto r = d.Run(image, /*functional=*/false);
     EXPECT_GT(r.latency.us(), spec.latency_objective_us);
-    mon.ObserveRequest(ocl::SummarizeRequest(rt.events(), r.trace_id),
+    mon.ObserveRequest(ocl::SummarizeRequest(rt.event_pool(), r.trace_id),
                        &diags);
   }
   EXPECT_GT(mon.burn_rate(), 1.0);
@@ -468,6 +468,75 @@ TEST(Slo, ExportMetricsWritesGaugesAndWindowedHistogram) {
   EXPECT_EQ(snap.count, 4);
   EXPECT_DOUBLE_EQ(snap.min, 30.0);
   EXPECT_DOUBLE_EQ(snap.max, 60.0);
+}
+
+TEST(Slo, ExportMetricsTwiceIsIdempotent) {
+  SloSpec spec;
+  spec.window = 4;
+  SloMonitor mon(spec);
+  for (int i = 1; i <= 6; ++i) {
+    mon.ObserveRequest(OkRequest(static_cast<std::uint64_t>(i), i * 10.0));
+  }
+  // A second export into the same registry refills the latency histogram
+  // instead of appending the window to it again.
+  obs::Registry reg;
+  mon.ExportMetrics(reg);
+  mon.ExportMetrics(reg);
+  const auto snap = reg.histogram("telemetry.slo.latency_us").snapshot();
+  EXPECT_EQ(snap.count, 4);
+  EXPECT_DOUBLE_EQ(snap.min, 30.0);
+  EXPECT_DOUBLE_EQ(snap.max, 60.0);
+  EXPECT_DOUBLE_EQ(snap.sum, 180.0);
+}
+
+TEST(Slo, WindowLatencyEvictsOldest) {
+  SloSpec spec;
+  spec.window = 3;
+  SloMonitor mon(spec);
+  for (int i = 1; i <= 5; ++i) {
+    mon.ObserveRequest(OkRequest(static_cast<std::uint64_t>(i), i));
+  }
+  const auto snap = mon.WindowLatency();
+  EXPECT_EQ(snap.count, 3);  // only {3, 4, 5} remain
+  EXPECT_DOUBLE_EQ(snap.min, 3.0);
+  EXPECT_DOUBLE_EQ(snap.max, 5.0);
+  EXPECT_DOUBLE_EQ(snap.sum, 12.0);
+  // Exact nearest rank over the window.
+  EXPECT_DOUBLE_EQ(snap.p50, 4.0);
+  EXPECT_DOUBLE_EQ(snap.p99, 5.0);
+}
+
+TEST(Slo, WindowLatencyEmptyAndSingleSampleAreConsistent) {
+  SloSpec spec;
+  spec.window = 4;
+  SloMonitor mon(spec);
+  // Empty: every statistic is exactly zero.
+  auto snap = mon.WindowLatency();
+  EXPECT_EQ(snap.count, 0);
+  EXPECT_DOUBLE_EQ(snap.p50, 0.0);
+  EXPECT_DOUBLE_EQ(snap.p95, 0.0);
+  EXPECT_DOUBLE_EQ(snap.p99, 0.0);
+  EXPECT_DOUBLE_EQ(snap.min, 0.0);
+  EXPECT_DOUBLE_EQ(snap.max, 0.0);
+  EXPECT_DOUBLE_EQ(snap.sum, 0.0);
+
+  // One sample: every percentile is that sample.
+  mon.ObserveRequest(OkRequest(1, 42.0));
+  snap = mon.WindowLatency();
+  EXPECT_EQ(snap.count, 1);
+  EXPECT_DOUBLE_EQ(snap.p50, 42.0);
+  EXPECT_DOUBLE_EQ(snap.p95, 42.0);
+  EXPECT_DOUBLE_EQ(snap.p99, 42.0);
+
+  // Full rotation: statistics reflect only the live window, nothing of
+  // the original sample remains.
+  for (int i = 0; i < 4; ++i) mon.ObserveRequest(OkRequest(2, 7.0));
+  snap = mon.WindowLatency();
+  EXPECT_EQ(snap.count, 4);
+  EXPECT_DOUBLE_EQ(snap.min, 7.0);
+  EXPECT_DOUBLE_EQ(snap.max, 7.0);
+  EXPECT_DOUBLE_EQ(snap.p99, 7.0);
+  EXPECT_DOUBLE_EQ(snap.sum, 28.0);
 }
 
 TEST(Slo, Clf704FastBurnFiresBeforeSlowBurn) {
