@@ -101,7 +101,9 @@
 //                               [--chaos-report] [--observatory]
 //                               [--obs-requests N] [--obs-seed N]
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -141,6 +143,36 @@ void WriteFile(const std::string& path, const std::string& contents) {
   }
   out << contents;
   std::printf("wrote %-28s (%zu bytes)\n", path.c_str(), contents.size());
+}
+
+/// Parses the value of numeric flag argv[i] from argv[i + 1], advancing
+/// `i` past it. The value must be a non-negative decimal integer that
+/// fits in T; a missing, non-numeric, negative or out-of-range value (or
+/// trailing garbage) prints why and exits 1.
+template <typename T>
+T ParseCount(int& i, int argc, char** argv) {
+  const char* flag = argv[i];
+  if (i + 1 >= argc) {
+    std::fprintf(stderr, "%s requires an integer argument\n", flag);
+    std::exit(1);
+  }
+  const std::string text = argv[++i];
+  T value{};
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  const char* why = nullptr;
+  if (text.starts_with('-')) {
+    why = "must not be negative";
+  } else if (ec == std::errc::result_out_of_range) {
+    why = "is out of range";
+  } else if (ec != std::errc() || end != text.data() + text.size()) {
+    why = "is not a non-negative integer";
+  }
+  if (why != nullptr) {
+    std::fprintf(stderr, "%s: '%s' %s\n", flag, text.c_str(), why);
+    std::exit(1);
+  }
+  return value;
 }
 
 /// Per-phase compile timings from the tracer: top-level phases plus one
@@ -208,12 +240,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--dse") {
       run_dse = true;
     } else if (arg == "--dse-jobs") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--dse-jobs requires an integer argument\n");
-        return 1;
-      }
       run_dse = true;
-      dse_jobs = std::stoi(argv[++i]);
+      dse_jobs = ParseCount<int>(i, argc, argv);
     } else if (arg == "--dse-dominance") {
       run_dse = true;
       dse_dominance = true;
@@ -224,53 +252,28 @@ int main(int argc, char** argv) {
       }
       fault_specs.emplace_back(argv[++i]);
     } else if (arg == "--fault-seed") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--fault-seed requires an integer argument\n");
-        return 1;
-      }
-      fault_seed = std::stoull(argv[++i]);
+      fault_seed = ParseCount<std::uint64_t>(i, argc, argv);
     } else if (arg == "--replicas") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--replicas requires an integer argument\n");
-        return 1;
-      }
-      replicas = std::stoi(argv[++i]);
+      replicas = ParseCount<int>(i, argc, argv);
     } else if (arg == "--observatory") {
       observatory = true;
     } else if (arg == "--obs-requests") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--obs-requests requires an integer argument\n");
-        return 1;
-      }
       observatory = true;
-      obs_requests = std::stoi(argv[++i]);
+      obs_requests = ParseCount<int>(i, argc, argv);
     } else if (arg == "--obs-seed") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--obs-seed requires an integer argument\n");
-        return 1;
-      }
       observatory = true;
-      obs_seed = std::stoull(argv[++i]);
+      obs_seed = ParseCount<std::uint64_t>(i, argc, argv);
     } else if (arg == "--chaos") {
       chaos = true;
     } else if (arg == "--chaos-report") {
       chaos = true;
       chaos_report = true;
     } else if (arg == "--chaos-scenarios") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "--chaos-scenarios requires an integer argument\n");
-        return 1;
-      }
       chaos = true;
-      chaos_scenarios = std::stoi(argv[++i]);
+      chaos_scenarios = ParseCount<int>(i, argc, argv);
     } else if (arg == "--chaos-seed") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--chaos-seed requires an integer argument\n");
-        return 1;
-      }
       chaos = true;
-      chaos_seed = std::stoull(argv[++i]);
+      chaos_seed = ParseCount<std::uint64_t>(i, argc, argv);
     } else if (arg == "--lint") {
       lint = true;
     } else if (arg == "--lint-src") {

@@ -251,13 +251,6 @@ inline constexpr CodeInfo kFlightRecorderOverflow{
     "flight recorder overflowed before the dump", "SS6.2",
     "the ring dropped its oldest events; raise DeployOptions::"
     "flightrec_capacity if the postmortem needs a longer look-back"};
-inline constexpr CodeInfo kSloFastBurn{
-    "CLF704", Severity::kWarning,
-    "fast-horizon SLO burn: violation burst in the last few windows", "SS6.2",
-    "the short-window burn rate crossed the paging threshold before the "
-    "slow horizon confirmed it -- a burst, not (yet) sustained spend; "
-    "check telemetry.slo.fast_burn_rate and the utilization timelines for "
-    "the window where latency spiked"};
 
 // --- Source linter (srclint) ------------------------------------------------
 inline constexpr CodeInfo kSrcParseFailure{
@@ -339,7 +332,6 @@ inline constexpr const CodeInfo* kAllCodes[] = {
     &kAllReplicasDown,
     &kProfPredictionDrift, &kProfAttributionGap, &kProfOverheadDominant,
     &kSloLatencyBurn,   &kRequestStarvation, &kFlightRecorderOverflow,
-    &kSloFastBurn,
     &kSrcParseFailure,  &kSrcSignatureMismatch, &kSrcChannelSequence,
     &kSrcUnrollMismatch, &kSrcChannelDecl,  &kSrcLoopCarried,
     &kSrcIndexOob,      &kSrcMissingRestrict, &kSrcDeadStore,

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "core/dse.hpp"
 #include "obs/span.hpp"
 
 namespace clflow::core {
@@ -42,16 +43,15 @@ bool HalveLargestTiling(OptimizationRecipe& recipe, std::string& delta) {
 /// Picks the next rung for a folded design. `tried_dse` persists across
 /// attempts so the (comparatively expensive) exploration runs at most
 /// once.
-bool DegradeFolded(const graph::Graph& g, DeployOptions& cur,
-                   const FallbackPolicy& policy, bool& tried_dse,
+bool DegradeFolded(const graph::Graph& g, DeployOptions& cur, bool& tried_dse,
                    std::string& delta) {
   if (HalveLargestTiling(cur.recipe, delta)) return true;
-  if (policy.use_dse && !tried_dse) {
+  if (!tried_dse) {
     tried_dse = true;
     // The sweep shares the ladder's cache: kernels already compiled by
     // earlier rungs are hits inside the exploration.
-    DseOptions dse_opts = policy.dse;
-    if (!dse_opts.cache) dse_opts.cache = cur.compile_cache;
+    DseOptions dse_opts;
+    dse_opts.cache = cur.compile_cache;
     const DseResult dse =
         ExploreFoldedTilings(g, cur.board, dse_opts, cur.cost_model);
     if (!dse.ranked.empty()) {
@@ -77,33 +77,24 @@ bool DegradeFolded(const graph::Graph& g, DeployOptions& cur,
 }
 
 /// Picks the next rung for a pipelined design: shed area-hungry kernel
-/// optimizations first, then the host-side extras, then (policy
-/// permitting) leave pipelined execution entirely.
-bool DegradePipelined(DeployOptions& cur, const FallbackPolicy& policy,
-                      std::string& delta) {
+/// optimizations first, then the host-side extras, then leave pipelined
+/// execution entirely.
+void DegradePipelined(DeployOptions& cur, std::string& delta) {
   OptimizationRecipe& r = cur.recipe;
   if (r.weight_cache) {
     r.weight_cache = false;
     delta = "dropped on-chip weight caches";
-    return true;
-  }
-  if (r.unroll) {
+  } else if (r.unroll) {
     r.unroll = false;
     delta = "dropped filter/dense unrolling";
-    return true;
-  }
-  if (r.channels || r.autorun || r.concurrent_execution) {
+  } else if (r.channels || r.autorun || r.concurrent_execution) {
     r.channels = r.autorun = r.concurrent_execution = false;
     delta = "dropped channels/autorun/concurrency (global-memory handoff)";
-    return true;
-  }
-  if (policy.allow_mode_switch) {
+  } else {
     cur.mode = ExecutionMode::kFolded;
     cur.recipe = FoldedBase();
     delta = "switched execution mode pipelined -> folded baseline";
-    return true;
   }
-  return false;
 }
 
 /// Mirrors the attempt log into the winning deployment's telemetry so the
@@ -143,9 +134,7 @@ FallbackResult CompileWithFallback(const graph::Graph& g,
                                    const FallbackPolicy& policy) {
   FallbackResult result;
   DeployOptions cur = options;
-  if (policy.use_compile_cache && !cur.compile_cache) {
-    cur.compile_cache = CompileCache::SharedPtr();
-  }
+  if (!cur.compile_cache) cur.compile_cache = CompileCache::SharedPtr();
   std::string delta = "requested recipe";
   bool tried_dse = false;
 
@@ -182,11 +171,11 @@ FallbackResult CompileWithFallback(const graph::Graph& g,
     }
     result.attempts.push_back(std::move(a));
 
-    const bool more =
-        cur.mode == ExecutionMode::kFolded
-            ? DegradeFolded(g, cur, policy, tried_dse, delta)
-            : DegradePipelined(cur, policy, delta);
-    if (!more) break;
+    if (cur.mode == ExecutionMode::kPipelined) {
+      DegradePipelined(cur, delta);
+    } else if (!DegradeFolded(g, cur, tried_dse, delta)) {
+      break;
+    }
   }
   return result;
 }

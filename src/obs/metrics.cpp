@@ -150,17 +150,6 @@ std::string LabelsJson(const Labels& labels) {
   return out + "}";
 }
 
-std::string LabelsCsv(const Labels& labels) {
-  std::string out;
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out += ";";
-    first = false;
-    out += k + "=" + v;
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string Registry::ToJson() const {
@@ -220,46 +209,6 @@ std::string Registry::ToJson() const {
     os << "]}";
   }
   os << "]}";
-  return os.str();
-}
-
-std::string Registry::ToCsv() const {
-  std::lock_guard lock(mu_);
-  std::ostringstream os;
-  os << "kind,name,labels,stat,value\n";
-  for (const auto& [key, e] : counters_) {
-    os << "counter," << e.name << "," << LabelsCsv(e.labels) << ",value,"
-       << JsonNum(e.metric->value()) << "\n";
-  }
-  for (const auto& [key, e] : gauges_) {
-    os << "gauge," << e.name << "," << LabelsCsv(e.labels) << ",value,"
-       << JsonNum(e.metric->value()) << "\n";
-  }
-  for (const auto& [key, e] : histograms_) {
-    const Histogram::Snapshot s = e.metric->snapshot();
-    const std::string prefix =
-        "histogram," + e.name + "," + LabelsCsv(e.labels) + ",";
-    os << prefix << "count," << s.count << "\n";
-    os << prefix << "sum," << JsonNum(s.sum) << "\n";
-    os << prefix << "min," << JsonNum(s.min) << "\n";
-    os << prefix << "max," << JsonNum(s.max) << "\n";
-    os << prefix << "p50," << JsonNum(s.p50) << "\n";
-    os << prefix << "p95," << JsonNum(s.p95) << "\n";
-    os << prefix << "p99," << JsonNum(s.p99) << "\n";
-  }
-  for (const auto& [key, e] : series_) {
-    const TimeSeries& ts = *e.metric;
-    const std::string prefix =
-        std::string("series,") + e.name + "," + LabelsCsv(e.labels) + ",";
-    os << prefix << "total," << JsonNum(ts.Total()) << "\n";
-    os << prefix << "windows,"
-       << (ts.has_data() ? ts.last_index() - ts.base_index() + 1 : 0)
-       << "\n";
-    os << prefix << "rate_per_s,"
-       << JsonNum(ts.RateOver(ts.spec().resolution *
-                              static_cast<std::int64_t>(ts.spec().windows)))
-       << "\n";
-  }
   return os.str();
 }
 

@@ -15,8 +15,8 @@
 //                  (request rates, utilization timelines).
 //
 // A Registry owns its instruments and exports them as JSON (machine
-// consumption: bench snapshots), CSV (spreadsheets), Prometheus text, and
-// an aligned text table (humans, via common/table). Instrument references
+// consumption: bench snapshots), Prometheus text, and an aligned text
+// table (humans, via common/table). Instrument references
 // returned by counter()/gauge()/histogram()/series() stay valid for the
 // registry's lifetime.
 //
@@ -131,10 +131,6 @@ class Registry {
   ///             windows:[{index,start_us,value,count}...]}...]}
   [[nodiscard]] std::string ToJson() const;
 
-  /// kind,name,labels,stat,value rows (histograms expand to one row per
-  /// statistic; series contribute total/rate_per_s/windows rows).
-  [[nodiscard]] std::string ToCsv() const;
-
   /// Prometheus text exposition format (version 0.0.4): one `# TYPE`
   /// header per metric name, counters/gauges as single samples, histograms
   /// as summaries (quantile series plus _sum/_count), time series as a
@@ -177,8 +173,8 @@ class Registry {
   std::map<std::string, Entry<TimeSeries>> series_;
 };
 
-/// "name{k=v,...}" -- the series key used by the registry and the CSV /
-/// table exporters.
+/// "name{k=v,...}" -- the series key used by the registry and the table
+/// exporter.
 [[nodiscard]] std::string SeriesKey(const std::string& name,
                                     const Labels& labels);
 

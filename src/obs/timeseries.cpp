@@ -2,26 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 namespace clflow::obs {
 
-namespace detail {
-
-std::uint64_t DoubleBits(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-}  // namespace detail
-
 namespace {
-
-using detail::DoubleBits;
-using detail::FnvMix;
-using detail::kFnvOffset;
 
 const double kLogGrowth = std::log(LogHistogram::kGrowth);
 
@@ -56,21 +40,6 @@ void LogHistogram::Observe(double value) {
 
 void LogHistogram::Clear() { *this = LogHistogram(); }
 
-void LogHistogram::MergeFrom(const LogHistogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  zero_count_ += other.zero_count_;
-  for (const auto& [index, n] : other.buckets_) buckets_[index] += n;
-}
-
 double LogHistogram::Quantile(double q) const {
   if (count_ == 0) return 0.0;
   const auto n = static_cast<double>(count_);
@@ -93,17 +62,6 @@ double LogHistogram::Quantile(double q) const {
 
 std::size_t LogHistogram::bucket_count() const {
   return buckets_.size() + (zero_count_ > 0 ? 1 : 0);
-}
-
-std::uint64_t LogHistogram::Digest() const {
-  std::uint64_t h = kFnvOffset;
-  FnvMix(h, static_cast<std::uint64_t>(count_));
-  FnvMix(h, static_cast<std::uint64_t>(zero_count_));
-  for (const auto& [index, count] : buckets_) {
-    FnvMix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(index)));
-    FnvMix(h, static_cast<std::uint64_t>(count));
-  }
-  return h;
 }
 
 // ---------------------------------------------------------------------------
@@ -177,28 +135,6 @@ std::vector<TimeSeries::Window> TimeSeries::Windows() const {
 
 double TimeSeries::Total() const { return total_; }
 
-double TimeSeries::SumOverLast(std::size_t k) const {
-  if (!has_data() || k == 0) return 0.0;
-  const std::int64_t first = std::max(
-      base_index_, last_index_ - static_cast<std::int64_t>(k) + 1);
-  double total = 0.0;
-  for (std::int64_t i = first; i <= last_index_; ++i) {
-    total += values_[Slot(i)];
-  }
-  return total;
-}
-
-double TimeSeries::SumOverRange(std::int64_t first, std::int64_t last) const {
-  if (!has_data()) return 0.0;
-  first = std::max(first, base_index_);
-  last = std::min(last, last_index_);
-  double total = 0.0;
-  for (std::int64_t i = first; i <= last; ++i) {
-    total += values_[Slot(i)];
-  }
-  return total;
-}
-
 double TimeSeries::RateOver(SimTime span) const {
   if (!has_data() || span <= kSimTimeZero) return 0.0;
   const std::int64_t want =
@@ -222,48 +158,6 @@ double TimeSeries::ValueAt(SimTime t) const {
     if (counts_[Slot(index)] > 0) return values_[Slot(index)];
   }
   return 0.0;
-}
-
-void TimeSeries::MergeFrom(const TimeSeries& other) {
-  if (!other.has_data()) return;
-  dropped_late_ += other.dropped_late_;
-  if (kind_ == Kind::kCounter) total_ += other.total_;
-  for (std::int64_t i = other.base_index_; i <= other.last_index_; ++i) {
-    const std::size_t oslot = other.Slot(i);
-    if (other.counts_[oslot] == 0) {
-      // Still advance: an empty window observed by a shard is part of the
-      // merged timeline (keeps clock-jump gaps identical to serial runs).
-      if (!(has_data() && i < base_index_)) AdvanceTo(i);
-      continue;
-    }
-    if (has_data() && i < base_index_) {
-      dropped_late_ += other.counts_[oslot];
-      continue;
-    }
-    AdvanceTo(i);
-    const std::size_t slot = Slot(i);
-    if (kind_ == Kind::kCounter) {
-      values_[slot] += other.values_[oslot];
-    } else {
-      values_[slot] = other.values_[oslot];
-    }
-    counts_[slot] += other.counts_[oslot];
-  }
-}
-
-std::uint64_t TimeSeries::Digest() const {
-  std::uint64_t h = kFnvOffset;
-  FnvMix(h, static_cast<std::uint64_t>(spec_.resolution.ps()));
-  FnvMix(h, static_cast<std::uint64_t>(spec_.windows));
-  if (!has_data()) return h;
-  for (std::int64_t i = base_index_; i <= last_index_; ++i) {
-    const std::size_t slot = Slot(i);
-    FnvMix(h, static_cast<std::uint64_t>(i));
-    FnvMix(h, static_cast<std::uint64_t>(counts_[slot]));
-    FnvMix(h, DoubleBits(values_[slot]));
-  }
-  FnvMix(h, static_cast<std::uint64_t>(dropped_late_));
-  return h;
 }
 
 void TimeSeries::Clear() {

@@ -10,8 +10,7 @@
 //     geometric bucket midpoint γ^(i+0.5) is within √γ − 1 ≈ 0.995% < 1%
 //     relative error of any sample in the bucket. Memory is O(distinct
 //     buckets), independent of sample count (~1160 buckets span 1 ps to
-//     10^10 us). Counts are integers, so histograms merged in a fixed
-//     shard order digest identically at any thread count.
+//     10^10 us).
 //
 //   * TimeSeries — a ring of fixed-resolution windows over SimTime.
 //     Counters accumulate per-window sums (rate = sum/span); gauges keep
@@ -20,10 +19,6 @@
 //     simulated reprogram charge) zero-fill the skipped windows, and
 //     records older than the ring are counted in dropped_late() rather
 //     than silently folded into the wrong window.
-//
-// Both are mergeable (shard-local instances combined in shard order) and
-// expose FNV digests over their integer state so determinism tests can
-// compare jobs=1 against jobs=N runs bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -37,13 +32,10 @@
 namespace clflow::obs {
 
 namespace detail {
-/// The FNV-1a building blocks of the obs digests (histograms, series,
-/// loadgen request records), from common/fnv.hpp.
+/// The FNV-1a building blocks of the request and ranking digests, from
+/// common/fnv.hpp.
 using common::FnvMix;
 using common::kFnvOffset;
-using common::kFnvPrime;
-
-[[nodiscard]] std::uint64_t DoubleBits(double v);
 }  // namespace detail
 
 /// Windowing geometry shared by every time series of one campaign:
@@ -56,7 +48,7 @@ struct WindowSpec {
 };
 
 /// Bounded-memory value distribution over logarithmic buckets.
-/// Not thread-safe: shard locally, MergeFrom in shard order.
+/// Not thread-safe.
 class LogHistogram {
  public:
   /// Bucket width ratio. Quantile error ≤ √kGrowth − 1 (< 1%).
@@ -64,11 +56,6 @@ class LogHistogram {
 
   void Observe(double value);
   void Clear();
-
-  /// Adds `other`'s buckets into this one. Count/min/max merge exactly;
-  /// sum is floating-point and depends on merge order, so deterministic
-  /// pipelines must merge shards in a fixed order.
-  void MergeFrom(const LogHistogram& other);
 
   [[nodiscard]] std::int64_t count() const { return count_; }
   [[nodiscard]] double sum() const { return sum_; }
@@ -86,11 +73,6 @@ class LogHistogram {
   /// Distinct buckets in use (the memory bound).
   [[nodiscard]] std::size_t bucket_count() const;
 
-  /// FNV-1a over (bucket index, count) pairs in ascending index order
-  /// plus the zero-bucket and total counts. Integer-only, so equal for
-  /// any sharding merged in a fixed order.
-  [[nodiscard]] std::uint64_t Digest() const;
-
  private:
   static std::int32_t BucketIndex(double v);
   static double BucketMid(std::int32_t index);
@@ -104,12 +86,11 @@ class LogHistogram {
 };
 
 /// Ring-buffer of fixed-resolution windows on the simulated clock.
-/// Not thread-safe: shard locally, MergeFrom in shard order.
+/// Not thread-safe.
 class TimeSeries {
  public:
   enum class Kind { kCounter, kGauge };
 
-  TimeSeries() : TimeSeries(Kind::kCounter, WindowSpec{}) {}
   TimeSeries(Kind kind, WindowSpec spec);
 
   /// Folds `value` into the window containing `t` (times before the
@@ -147,17 +128,6 @@ class TimeSeries {
   /// Monotone, so a Prometheus `_total` derived from it never decreases.
   [[nodiscard]] double Total() const;
 
-  /// Counter sum over the most recent `k` retained windows (all when
-  /// fewer are retained).
-  [[nodiscard]] double SumOverLast(std::size_t k) const;
-
-  /// Counter sum over the absolute window range [first, last]; windows
-  /// outside the retained span contribute 0. Lets two series recorded on
-  /// the same clock be compared over one horizon even when one of them
-  /// stopped advancing (e.g. violations during a quiet stretch).
-  [[nodiscard]] double SumOverRange(std::int64_t first,
-                                    std::int64_t last) const;
-
   /// Counter rate per second over the trailing `span` of simulated time
   /// (ending at the newest retained window). Sums whole windows that
   /// overlap the span and divides by the covered duration.
@@ -166,17 +136,6 @@ class TimeSeries {
   /// Gauge value at `t`: the last value recorded in the window of `t` or
   /// the nearest earlier non-empty window (0 before any record).
   [[nodiscard]] double ValueAt(SimTime t) const;
-
-  /// Merges a shard-local series recorded with the same spec/kind.
-  /// Counters add per-window; for gauges the record from the later
-  /// shard wins within a window (callers merge shards in shard order, so
-  /// this is deterministic). Window alignment follows the merged ring.
-  void MergeFrom(const TimeSeries& other);
-
-  /// FNV-1a over (index, count, value-bits) per retained window. Values
-  /// recorded serially (or integer-valued counters merged in shard
-  /// order) digest identically at any thread count.
-  [[nodiscard]] std::uint64_t Digest() const;
 
   void Clear();
 

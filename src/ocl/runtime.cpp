@@ -75,22 +75,6 @@ Runtime::Runtime(fpga::Bitstream bitstream, fpga::CostModel cost_model,
   watchdog_timeout_ = options.watchdog_timeout;
 }
 
-void Runtime::set_retry_policy(const resilience::RetryPolicy& policy) {
-  RuntimeOptions probe;
-  probe.retry = policy;
-  probe.watchdog_timeout = watchdog_timeout_;
-  ValidateRuntimeOptions(probe);
-  retry_policy_ = policy;
-}
-
-void Runtime::set_watchdog_timeout(SimTime timeout) {
-  RuntimeOptions probe;
-  probe.retry = retry_policy_;
-  probe.watchdog_timeout = timeout;
-  ValidateRuntimeOptions(probe);
-  watchdog_timeout_ = timeout;
-}
-
 BufferPtr Runtime::CreateBuffer(std::int64_t num_floats) {
   return std::make_shared<Buffer>(num_floats);
 }

@@ -129,18 +129,11 @@ class Runtime {
     return injector_;
   }
 
-  /// Retry/backoff/reprogram parameters for fault recovery. Validated as
-  /// in ValidateRuntimeOptions (throws CLF507 on non-positive knobs).
-  void set_retry_policy(const resilience::RetryPolicy& policy);
+  /// Retry/backoff/reprogram parameters, fixed at construction
+  /// (RuntimeOptions::retry).
   [[nodiscard]] const resilience::RetryPolicy& retry_policy() const {
     return retry_policy_;
   }
-
-  /// Simulated-time bound the watchdog charges to a kernel blocked on a
-  /// channel whose writer never arrives before declaring deadlock.
-  /// Validated: a timeout <= 0 throws CLF507.
-  void set_watchdog_timeout(SimTime timeout);
-  [[nodiscard]] SimTime watchdog_timeout() const { return watchdog_timeout_; }
 
   /// Recovery counters, accumulated across batches.
   [[nodiscard]] std::int64_t xfer_retries() const { return xfer_retries_; }

@@ -14,12 +14,19 @@ const char* TraceShapeName(TraceShape shape) {
   switch (shape) {
     case TraceShape::kPoisson: return "poisson";
     case TraceShape::kBursty: return "bursty";
-    case TraceShape::kRamp: return "ramp";
   }
   return "?";
 }
 
 namespace {
+
+/// Open-loop utilization target used when rate_rps == 0.
+constexpr double kUtilization = 0.7;
+/// Bursty trace period, in series windows.
+constexpr int kBurstPeriodWindows = 8;
+/// Latency objective for goodput = kSloHeadroom x the measured base
+/// service time (a request is "good" when it completes OK within it).
+constexpr double kSloHeadroom = 3.0;
 
 /// What one service attempt cost and where it ran.
 struct Served {
@@ -59,21 +66,17 @@ LoadgenReport RunCampaign(
 
   if (opts.requests < 1) opts.requests = 1;
   if (opts.rate_rps <= 0.0) {
-    opts.rate_rps = opts.utilization / report.base_service.seconds();
+    opts.rate_rps = kUtilization / report.base_service.seconds();
   }
-  report.objective =
-      SimTime::Us(opts.slo_headroom * report.base_service.us());
-  if (opts.auto_window) {
-    // Aim for roughly half the ring over the expected arrival span so
-    // bursts and the queueing tail still fit before eviction.
-    const double span_s =
-        static_cast<double>(opts.requests) / opts.rate_rps;
-    const double target_windows =
-        static_cast<double>(std::max<std::size_t>(opts.window.windows, 2)) /
-        2.0;
-    opts.window.resolution = std::max(
-        SimTime::Seconds(span_s / target_windows), SimTime::Us(1.0));
-  }
+  report.objective = SimTime::Us(kSloHeadroom * report.base_service.us());
+  // Aim for roughly half the ring over the expected arrival span so
+  // bursts and the queueing tail still fit before eviction.
+  const double span_s = static_cast<double>(opts.requests) / opts.rate_rps;
+  const double target_windows =
+      static_cast<double>(std::max<std::size_t>(opts.window.windows, 2)) /
+      2.0;
+  opts.window.resolution = std::max(
+      SimTime::Seconds(span_s / target_windows), SimTime::Us(1.0));
   const obs::WindowSpec ws = opts.window;
 
   report.metrics = std::make_shared<obs::Registry>();
@@ -97,21 +100,13 @@ LoadgenReport RunCampaign(
   // is modulated per the shape; exponential gaps come from the seeded
   // stream, rounded to integer picoseconds (the digest's domain).
   Rng rng(opts.seed);
-  const double period_us =
-      ws.resolution.us() * std::max(opts.burst_period_windows, 1);
+  const double period_us = ws.resolution.us() * kBurstPeriodWindows;
   const double burst_us = period_us * std::clamp(opts.burst_duty, 0.0, 1.0);
-  auto rate_at = [&](SimTime t, int index) {
+  auto rate_at = [&](SimTime t) {
     double rate = opts.rate_rps;
     if (opts.shape == TraceShape::kBursty) {
       const double phase = std::fmod(t.us(), period_us);
       if (phase < burst_us) rate *= std::max(opts.burst_factor, 1e-9);
-    } else if (opts.shape == TraceShape::kRamp) {
-      const double frac =
-          opts.requests > 1
-              ? static_cast<double>(index) /
-                    static_cast<double>(opts.requests - 1)
-              : 0.0;
-      rate *= 1.0 + (opts.ramp_factor - 1.0) * frac;
     }
     return rate;
   };
@@ -123,7 +118,7 @@ LoadgenReport RunCampaign(
   std::uint64_t digest = obs::detail::kFnvOffset;
 
   for (int i = 0; i < opts.requests; ++i) {
-    const double rate = rate_at(arrival, i);
+    const double rate = rate_at(arrival);
     const double u = rng.NextDouble();
     const double gap_s = -std::log(1.0 - u) / rate;
     arrival += SimTime::Ps(static_cast<std::int64_t>(gap_s * 1e12 + 0.5));

@@ -1,8 +1,8 @@
 // Deterministic open-loop load generator (obs v2, tentpole c).
 //
 // Drives a core::Deployment or ha::ReplicaSet with seeded synthetic
-// traffic entirely on the simulated clock: arrivals come from a Poisson,
-// bursty, or ramp trace; the target serves them FIFO (one in flight --
+// traffic entirely on the simulated clock: arrivals come from a Poisson
+// or bursty trace; the target serves them FIFO (one in flight --
 // the serving layer's dynamic batcher is the next PR); every request
 // records arrival/start/completion, so latency *includes* queueing delay
 // the way a client would measure it. Everything lands in an obs::Registry
@@ -37,7 +37,7 @@ class ReplicaSet;
 
 namespace clflow::serve {
 
-enum class TraceShape { kPoisson, kBursty, kRamp };
+enum class TraceShape { kPoisson, kBursty };
 
 [[nodiscard]] const char* TraceShapeName(TraceShape shape);
 
@@ -46,30 +46,19 @@ struct LoadgenOptions {
   int requests = 200;
   TraceShape shape = TraceShape::kPoisson;
 
-  /// Mean offered rate in requests/second. 0 auto-calibrates to
-  /// `utilization` of the target's measured base service rate.
+  /// Mean offered rate in requests/second. 0 auto-calibrates to 70% of
+  /// the target's measured base service rate.
   double rate_rps = 0.0;
-  /// Open-loop utilization target used when rate_rps == 0.
-  double utilization = 0.7;
 
-  /// Bursty trace: rate multiplier during a burst, the fraction of each
-  /// period spent bursting, and the period length in windows.
+  /// Bursty trace: rate multiplier during a burst and the fraction of
+  /// each 8-window period spent bursting.
   double burst_factor = 4.0;
   double burst_duty = 0.25;
-  int burst_period_windows = 8;
 
-  /// Ramp trace: final/initial rate ratio, applied linearly per request.
-  double ramp_factor = 3.0;
-
-  /// Latency objective for goodput = `slo_headroom` x the measured base
-  /// service time (a request is "good" when it completes OK within it).
-  double slo_headroom = 3.0;
-
-  /// Windowing of the recorded series. With auto_window (default) the
-  /// resolution is derived from the expected campaign span so roughly
-  /// half the ring is used; otherwise `window` is taken as given.
+  /// Windowing of the recorded series: `windows` is the ring capacity;
+  /// the resolution is derived from the expected campaign span so roughly
+  /// half the ring is used, and the report carries the resolved value.
   obs::WindowSpec window;
-  bool auto_window = true;
 
   /// Run requests functionally (real tensors) or timing-only.
   bool functional = false;

@@ -198,24 +198,6 @@ TEST(Json, RegistryToJsonParses) {
   EXPECT_NEAR(hists->array[0].Find("p99")->number, 9000.0, 90.0);
 }
 
-TEST(Json, RegistryCsvHasP99Column) {
-  Registry reg;
-  for (int i = 1; i <= 4; ++i) reg.histogram("h").Observe(i);
-  const std::string csv = reg.ToCsv();
-  EXPECT_NE(csv.find("p99"), std::string::npos);
-}
-
-TEST(Json, RegistryCsvHasOneRowPerStat) {
-  Registry reg;
-  reg.counter("c").Add();
-  reg.gauge("g").Set(1);
-  reg.histogram("h").Observe(1);
-  const std::string csv = reg.ToCsv();
-  EXPECT_NE(csv.find("counter,c,"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,g,"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,h,"), std::string::npos);
-}
-
 // --------------------------------------------------------- chrome trace
 
 TEST(Trace, MergedCompileRuntimeTraceIsValidJson) {

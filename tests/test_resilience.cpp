@@ -166,10 +166,9 @@ TEST(Resilience, CorruptedTransferIsDetectedAndRetried) {
 
 TEST(Resilience, RetryExhaustionThrowsStructuredClf503) {
   TestDesign d = MakeDesign(1, fpga::Stratix10SX());
-  Runtime rt(d.bitstream);
-  resilience::RetryPolicy policy;
-  policy.max_attempts = 3;
-  rt.set_retry_policy(policy);
+  ocl::RuntimeOptions options;
+  options.retry.max_attempts = 3;
+  Runtime rt(d.bitstream, {}, options);
   Inject(rt, {"xfer-fail:write:0:99"});
   auto buf = rt.CreateBuffer(16);
   std::vector<float> src(16, 1.0f);
@@ -232,8 +231,9 @@ TEST(Resilience, PersistentKernelCorruptionThrowsClf504) {
 
 TEST(Resilience, HungConsumerRaisesWatchdogDeadlock) {
   TestDesign d = MakeDesign(2, fpga::Stratix10SX());
-  Runtime rt(d.bitstream);
-  rt.set_watchdog_timeout(SimTime::Ms(5.0));
+  ocl::RuntimeOptions options;
+  options.watchdog_timeout = SimTime::Ms(5.0);
+  Runtime rt(d.bitstream, {}, options);
   Inject(rt, {"hang:k0"});
   rt.EnqueueKernel(0, {.name = "k0", .stats = FixedCycles(1000),
                        .functional = {}, .reads_channels = {},
@@ -406,13 +406,14 @@ TEST(Resilience, DeploymentRecoversSeededPlanBitExactly) {
 TEST(Resilience, DeploymentSurfacesDeadlockInDiagnostics) {
   Rng rng(7);
   graph::Graph net = nets::BuildLeNet5(rng);
-  auto d = core::Deployment::Compile(net, LenetPipelinedOptions());
+  core::DeployOptions opts = LenetPipelinedOptions();
+  opts.runtime.watchdog_timeout = SimTime::Ms(10.0);
+  auto d = core::Deployment::Compile(net, opts);
   ASSERT_TRUE(d.ok());
 
   FaultPlan plan;
   plan.specs.push_back(ParseFaultSpec("hang:k_conv1"));
   d.runtime().set_fault_injector(std::make_shared<FaultInjector>(plan));
-  d.runtime().set_watchdog_timeout(SimTime::Ms(10.0));
 
   const Shape& in_shape = net.node(net.input_id()).output_shape;
   Tensor image = Tensor::Random(in_shape, rng, 0.0f, 1.0f);
@@ -468,6 +469,33 @@ TEST(Fallback, RecoversRouteFailedTiling) {
   // The recovered deployment actually runs.
   Tensor probe = Tensor::Full(Shape{1, 3, 224, 224}, 0.0f);
   EXPECT_GT(d.EstimateFps(probe), 0.0);
+}
+
+TEST(Fallback, UnhalvableFoldedDesignLandsOnDseRung) {
+  // A 3x3 tiling 112 columns wide concentrates 1008 DSPs in one kernel
+  // and fails routing on s10sx. W2vec is never halved, so halving the
+  // 1x1 factor cannot recover the design: the ladder must ask the DSE,
+  // whose nearest-feasible tiling replaces the unroutable one.
+  Rng rng(42);
+  graph::Graph net = nets::BuildMobileNetV1(rng);
+  core::DeployOptions opts;
+  opts.mode = core::ExecutionMode::kFolded;
+  opts.recipe = core::FoldedMobileNet("s10sx");
+  opts.recipe.conv1x1 = core::ConvTiling{2, 7, 1, true};
+  opts.recipe.conv3x3 = core::ConvTiling{1, 112, 1, true};
+  opts.board = fpga::Stratix10SX();
+
+  const auto result = core::CompileWithFallback(net, opts);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result.attempts.size(), 3u);
+  EXPECT_EQ(result.attempts[0].status, "route-failed");
+  EXPECT_NE(result.attempts[1].delta.find("halved conv1x1.c1"),
+            std::string::npos);
+  EXPECT_EQ(result.attempts[1].status, "route-failed");
+  EXPECT_NE(result.attempts[2].delta.find("DSE nearest-feasible tiling"),
+            std::string::npos);
+  EXPECT_EQ(result.attempts[2].status, "ok");
+  EXPECT_NE(result.deployment->options().recipe.conv3x3.w2, 112);
 }
 
 TEST(Fallback, ExhaustedLadderReportsEveryRung) {
@@ -643,19 +671,6 @@ TEST(RuntimeOptionsTest, ConstructorRejectsNonPositiveKnobs) {
   bad5.retry.reprogram_cost = SimTime::Us(-1.0);
   EXPECT_THROW(ocl::ValidateRuntimeOptions(bad5), RuntimeFaultError);
   EXPECT_NO_THROW(ocl::ValidateRuntimeOptions(ocl::RuntimeOptions{}));
-}
-
-TEST(RuntimeOptionsTest, SettersValidateToo) {
-  TestDesign d = MakeDesign(1, fpga::Stratix10SX());
-  Runtime rt(d.bitstream);
-  EXPECT_THROW(rt.set_watchdog_timeout(kSimTimeZero), RuntimeFaultError);
-  resilience::RetryPolicy p;
-  p.max_attempts = -1;
-  EXPECT_THROW(rt.set_retry_policy(p), RuntimeFaultError);
-  // Valid values are accepted and applied.
-  rt.set_watchdog_timeout(SimTime::Ms(1.0));
-  p.max_attempts = 2;
-  rt.set_retry_policy(p);
 }
 
 TEST(RuntimeOptionsTest, DeployOptionsValidateAtCompileTime) {

@@ -1,15 +1,13 @@
 // Tests for the obs v2 streaming-telemetry core: log-bucketed histograms
-// (bounded memory, <1% quantile error, deterministic shard merges) and
-// windowed time series on the simulated clock (window-boundary edge
-// cases, clock jumps, carry-forward gauges, digest stability at any
-// thread count).
+// (bounded memory, <1% quantile error) and windowed time series on the
+// simulated clock (window-boundary edge cases, clock jumps, carry-forward
+// gauges).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "obs/timeseries.hpp"
 
@@ -75,34 +73,6 @@ TEST(LogHistogram, ZeroAndNegativeLandInTheZeroBucket) {
   EXPECT_LE(h.Quantile(0.5), 0.0);
 }
 
-TEST(LogHistogram, MergeMatchesSingleStreamExactly) {
-  // Sharded observation + ordered merge must be indistinguishable from
-  // one stream: identical digests, so identical quantiles.
-  Rng rng(11);
-  std::vector<double> values;
-  for (int i = 0; i < 5000; ++i) {
-    values.push_back(std::exp(rng.NextDouble() * 6.0));
-  }
-  LogHistogram whole;
-  for (double v : values) whole.Observe(v);
-
-  for (int shards : {2, 3, 8}) {
-    // Deterministic round-robin shard assignment; each shard observes its
-    // slice concurrently (bucket maps are per-shard, no sharing).
-    std::vector<LogHistogram> parts(static_cast<std::size_t>(shards));
-    ParallelFor(0, shards, shards, [&](std::int64_t s) {
-      for (std::size_t i = static_cast<std::size_t>(s); i < values.size();
-           i += static_cast<std::size_t>(shards)) {
-        parts[static_cast<std::size_t>(s)].Observe(values[i]);
-      }
-    });
-    LogHistogram merged;
-    for (const LogHistogram& p : parts) merged.MergeFrom(p);
-    EXPECT_EQ(merged.Digest(), whole.Digest()) << shards << " shards";
-    EXPECT_DOUBLE_EQ(merged.Quantile(0.99), whole.Quantile(0.99));
-  }
-}
-
 // -------------------------------------------------------- TimeSeries
 
 WindowSpec MsSpec(std::size_t windows = 8) {
@@ -153,19 +123,6 @@ TEST(TimeSeries, LateRecordsAreDroppedAndCounted) {
   EXPECT_DOUBLE_EQ(ts.Total(), 1.0);  // the late record is not folded in
 }
 
-TEST(TimeSeries, SumOverLastAndRange) {
-  TimeSeries ts(TimeSeries::Kind::kCounter, MsSpec(8));
-  for (int w = 0; w < 6; ++w) {
-    ts.Record(SimTime::Ms(static_cast<double>(w) + 0.5),
-              static_cast<double>(w + 1));
-  }
-  EXPECT_DOUBLE_EQ(ts.SumOverLast(2), 5.0 + 6.0);
-  EXPECT_DOUBLE_EQ(ts.SumOverLast(100), 21.0);  // clamped to retained
-  EXPECT_DOUBLE_EQ(ts.SumOverRange(1, 3), 2.0 + 3.0 + 4.0);
-  // Ranges clamp to what the ring still holds.
-  EXPECT_DOUBLE_EQ(ts.SumOverRange(-5, 0), 1.0);
-}
-
 TEST(TimeSeries, RateOverUsesTheTrailingSpan) {
   TimeSeries ts(TimeSeries::Kind::kCounter, MsSpec(8));
   for (int w = 0; w < 4; ++w) {
@@ -189,50 +146,8 @@ TEST(TimeSeries, EmptySeriesIsWellDefined) {
   EXPECT_FALSE(ts.has_data());
   EXPECT_TRUE(ts.Windows().empty());
   EXPECT_DOUBLE_EQ(ts.Total(), 0.0);
-  EXPECT_DOUBLE_EQ(ts.SumOverLast(4), 0.0);
   EXPECT_DOUBLE_EQ(ts.RateOver(SimTime::Ms(1.0)), 0.0);
   EXPECT_DOUBLE_EQ(ts.ValueAt(SimTime::Ms(1.0)), 0.0);
-}
-
-TEST(TimeSeries, ShardMergeDigestMatchesSingleStream) {
-  // The jobs=1 vs jobs=N contract: shards recorded independently and
-  // merged in shard order must produce the digest of the serial stream.
-  const WindowSpec spec = MsSpec(16);
-  std::vector<std::pair<SimTime, double>> events;
-  Rng rng(2021);
-  for (int i = 0; i < 400; ++i) {
-    events.emplace_back(SimTime::Us(rng.NextDouble() * 15000.0), 1.0);
-  }
-  std::sort(events.begin(), events.end());
-  TimeSeries serial(TimeSeries::Kind::kCounter, spec);
-  for (const auto& [t, v] : events) serial.Record(t, v);
-
-  for (int shards : {2, 4, 7}) {
-    std::vector<TimeSeries> parts;
-    for (int s = 0; s < shards; ++s) {
-      parts.emplace_back(TimeSeries::Kind::kCounter, spec);
-    }
-    // Contiguous time slices per shard keep each shard's records (and
-    // the merged result) ordered.
-    const std::size_t chunk =
-        (events.size() + static_cast<std::size_t>(shards) - 1) /
-        static_cast<std::size_t>(shards);
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      parts[std::min(i / chunk, static_cast<std::size_t>(shards) - 1)]
-          .Record(events[i].first, events[i].second);
-    }
-    TimeSeries merged(TimeSeries::Kind::kCounter, spec);
-    for (const TimeSeries& p : parts) merged.MergeFrom(p);
-    EXPECT_EQ(merged.Digest(), serial.Digest()) << shards << " shards";
-  }
-}
-
-TEST(TimeSeries, DigestChangesWithContent) {
-  TimeSeries a(TimeSeries::Kind::kCounter, MsSpec());
-  TimeSeries b(TimeSeries::Kind::kCounter, MsSpec());
-  a.Record(SimTime::Ms(0.5), 1.0);
-  b.Record(SimTime::Ms(0.5), 2.0);
-  EXPECT_NE(a.Digest(), b.Digest());
 }
 
 }  // namespace
