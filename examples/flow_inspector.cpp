@@ -6,7 +6,7 @@
 // With --report it additionally runs one image and prints the
 // observability layer's view of the flow: per-phase compile timings,
 // IR-pass statistics, synthesis area, per-queue occupancy/stall metrics,
-// per-kernel predicted-vs-observed divergence, and the perfmodel
+// per-kernel static-estimate-vs-schedule ratio, and the perfmodel
 // comparison. With --trace-out FILE it writes a merged Chrome/Perfetto
 // trace (compile-phase spans on one process row, the simulated runtime
 // schedule on another).
@@ -173,6 +173,34 @@ T ParseCount(int& i, int argc, char** argv) {
     std::exit(1);
   }
   return value;
+}
+
+/// Builds the --inject-fault plan; a malformed spec prints why and exits 1.
+clflow::resilience::FaultPlan ParseFaultPlan(
+    const std::vector<std::string>& specs, std::uint64_t seed) {
+  clflow::resilience::FaultPlan plan;
+  plan.seed = seed;
+  try {
+    for (const auto& spec : specs) {
+      plan.specs.push_back(clflow::resilience::ParseFaultSpec(spec));
+    }
+  } catch (const clflow::Error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(1);
+  }
+  return plan;
+}
+
+/// True when `output` equals the graph oracle's result on `image` bit for
+/// bit.
+bool MatchesOracle(const clflow::core::Deployment& d,
+                   const clflow::Tensor& image, const clflow::Tensor& output) {
+  const clflow::Tensor expected =
+      clflow::graph::Execute(d.fused_graph(), image, 1);
+  const clflow::Tensor got = output.Reshaped(expected.shape());
+  const auto g_span = got.data();
+  const auto e_span = expected.data();
+  return std::equal(g_span.begin(), g_span.end(), e_span.begin());
 }
 
 /// Per-phase compile timings from the tracer: top-level phases plus one
@@ -554,18 +582,7 @@ int main(int argc, char** argv) {
     // campaign gets a fresh target so health state never leaks between
     // them -- that is what makes the digests reproducible.
     std::optional<resilience::FaultPlan> plan;
-    if (!fault_specs.empty()) {
-      plan.emplace();
-      plan->seed = fault_seed;
-      try {
-        for (const auto& spec : fault_specs) {
-          plan->specs.push_back(resilience::ParseFaultSpec(spec));
-        }
-      } catch (const Error& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
-      }
-    }
+    if (!fault_specs.empty()) plan = ParseFaultPlan(fault_specs, fault_seed);
     auto campaign = [&](serve::TraceShape shape) {
       serve::LoadgenOptions lo;
       lo.seed = obs_seed;
@@ -653,16 +670,8 @@ int main(int argc, char** argv) {
     std::printf("\n--- replica set: %d board(s) ---\n", replicas);
     ha::ReplicaSet rs(d, haopts);
     if (!fault_specs.empty()) {
-      resilience::FaultPlan plan;
-      plan.seed = fault_seed;
-      try {
-        for (const auto& spec : fault_specs) {
-          plan.specs.push_back(resilience::ParseFaultSpec(spec));
-        }
-      } catch (const Error& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
-      }
+      const resilience::FaultPlan plan =
+          ParseFaultPlan(fault_specs, fault_seed);
       rs.set_fault_injector(
           0, std::make_shared<resilience::FaultInjector>(plan));
       std::printf("fault plan (seed %llu, %zu spec(s)) armed on board 0\n",
@@ -670,12 +679,7 @@ int main(int argc, char** argv) {
                   plan.specs.size());
     }
     const ha::HaRunResult r = rs.Run(image, /*functional=*/true);
-    const Tensor expected = graph::Execute(d.fused_graph(), image, 1);
-    const Tensor got = r.output.Reshaped(expected.shape());
-    const auto g_span = got.data();
-    const auto e_span = expected.data();
-    const bool exact =
-        std::equal(g_span.begin(), g_span.end(), e_span.begin());
+    const bool exact = MatchesOracle(d, image, r.output);
     const std::string served_by =
         r.used_fallback ? "the folded fallback"
                         : "board " + std::to_string(r.board);
@@ -709,16 +713,8 @@ int main(int argc, char** argv) {
   }
 
   if (!fault_specs.empty()) {
-    resilience::FaultPlan plan;
-    plan.seed = fault_seed;
-    try {
-      for (const auto& spec : fault_specs) {
-        plan.specs.push_back(resilience::ParseFaultSpec(spec));
-      }
-    } catch (const Error& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
+    const resilience::FaultPlan plan =
+        ParseFaultPlan(fault_specs, fault_seed);
     auto injector = std::make_shared<resilience::FaultInjector>(plan);
     auto& rt = d.runtime();
     rt.set_fault_injector(injector);
@@ -728,12 +724,7 @@ int main(int argc, char** argv) {
     int fault_rc = 0;
     try {
       const auto faulted = d.Run(image, /*functional=*/true);
-      const Tensor expected = graph::Execute(d.fused_graph(), image, 1);
-      const Tensor got = faulted.output.Reshaped(expected.shape());
-      const auto g_span = got.data();
-      const auto e_span = expected.data();
-      const bool exact =
-          std::equal(g_span.begin(), g_span.end(), e_span.begin());
+      const bool exact = MatchesOracle(d, image, faulted.output);
       std::printf("recovered run: latency %.1f us, output %s the oracle\n",
                   faulted.latency.us(),
                   exact ? "bit-exactly matches" : "DIVERGES from");

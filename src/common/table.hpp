@@ -23,7 +23,12 @@ class Table {
   /// Renders and writes to stdout.
   void Print() const;
 
-  [[nodiscard]] std::size_t num_rows() const { return rows_.size(); }
+  [[nodiscard]] const std::vector<std::string>& header() const {
+    return header_;
+  }
+  [[nodiscard]] const std::vector<std::vector<std::string>>& rows() const {
+    return rows_;
+  }
 
   /// Formats a double with `digits` fractional digits.
   [[nodiscard]] static std::string Num(double v, int digits = 2);

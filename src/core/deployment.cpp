@@ -1168,10 +1168,11 @@ ocl::Runtime& Deployment::runtime() const {
 void Deployment::ExportRuntimeMetrics(obs::Registry& registry,
                                       const obs::Labels& base_labels) const {
   runtime().ExportMetrics(registry, base_labels);
-  // Predicted-vs-observed divergence: the synthesis-time estimate uses one
-  // representative binding per kernel; the schedule re-analyzes every
-  // invocation, so parameterized (folded) kernels diverge when layer
-  // shapes differ from the representative.
+  // Static estimate against the schedule: the synthesis-time estimate
+  // uses one representative binding per kernel; the schedule re-analyzes
+  // every invocation, so parameterized (folded) kernels move away from 1
+  // when layer shapes differ from the representative. prof's per-kernel
+  // drift compares the schedule with a per-invocation re-analysis instead.
   const fpga::Bitstream& bitstream = design_->bitstream;
   for (const auto& kd : bitstream.kernels) {
     auto it = runtime_->kernel_usage().find(kd.name);
@@ -1179,18 +1180,19 @@ void Deployment::ExportRuntimeMetrics(obs::Registry& registry,
         it->second.invocations == 0) {
       continue;
     }
-    const SimTime predicted = fpga::InvocationTime(
+    const SimTime estimate = fpga::InvocationTime(
         kd.static_stats, bitstream.board, bitstream.fmax_mhz,
         design_->options.cost_model);
-    const double observed_us =
+    const double scheduled_us =
         it->second.total.us() / static_cast<double>(it->second.invocations);
     obs::Labels labels = base_labels;
     labels["kernel"] = kd.name;
-    registry.gauge("perf.kernel.predicted_us", labels).Set(predicted.us());
-    registry.gauge("perf.kernel.observed_us", labels).Set(observed_us);
-    if (predicted > kSimTimeZero) {
-      registry.gauge("perf.kernel.divergence", labels)
-          .Set(observed_us / predicted.us());
+    registry.gauge("perf.kernel.static_estimate_us", labels)
+        .Set(estimate.us());
+    registry.gauge("perf.kernel.scheduled_us", labels).Set(scheduled_us);
+    if (estimate > kSimTimeZero) {
+      registry.gauge("perf.kernel.static_estimate_ratio", labels)
+          .Set(scheduled_us / estimate.us());
     }
   }
 }

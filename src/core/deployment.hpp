@@ -265,9 +265,9 @@ class Deployment {
   [[nodiscard]] ocl::Runtime& runtime() const;
 
   /// Exports runtime-side metrics into `registry`: everything
-  /// ocl::Runtime::ExportMetrics emits plus per-kernel predicted-vs-
-  /// observed time divergence (synthesis-time static estimate against the
-  /// per-invocation dynamic schedule).
+  /// ocl::Runtime::ExportMetrics emits plus, per kernel, the synthesis-time
+  /// static estimate, the scheduled mean per invocation and their ratio
+  /// (perf.kernel.{static_estimate_us,scheduled_us,static_estimate_ratio}).
   void ExportRuntimeMetrics(obs::Registry& registry,
                             const obs::Labels& base_labels = {}) const;
 

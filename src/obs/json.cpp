@@ -8,7 +8,7 @@
 
 namespace clflow::obs {
 
-std::string JsonEscape(const std::string& s) {
+std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -48,7 +48,7 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-std::string HtmlEscape(const std::string& s) {
+std::string HtmlEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {

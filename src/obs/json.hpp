@@ -21,10 +21,10 @@ namespace clflow::obs {
 
 /// Escapes `s` for use inside a JSON string literal: quote, backslash,
 /// the \b \t \n \f \r shorthands, and \u00XX for any other char < 0x20.
-[[nodiscard]] std::string JsonEscape(const std::string& s);
+[[nodiscard]] std::string JsonEscape(std::string_view s);
 
 /// Escapes `s` for HTML text and double-quoted attribute values: & < > ".
-[[nodiscard]] std::string HtmlEscape(const std::string& s);
+[[nodiscard]] std::string HtmlEscape(std::string_view s);
 
 /// Formats a double as a JSON number token (finite shortest round-trip;
 /// NaN/inf degrade to 0, which JSON cannot represent).

@@ -155,9 +155,6 @@ class Runtime {
     trace_ctx_ = ctx;
   }
   void clear_trace_context() { trace_ctx_ = {}; }
-  [[nodiscard]] const telemetry::TraceContext& trace_context() const {
-    return trace_ctx_;
-  }
 
   /// Attaches a flight recorder that receives every command completion
   /// (including retry/rerun/hung slices) and every fault the runtime
@@ -165,9 +162,6 @@ class Runtime {
   /// assignment, so traces are identical with or without a recorder.
   void set_flight_recorder(telemetry::FlightRecorder* recorder) {
     flightrec_ = recorder;
-  }
-  [[nodiscard]] telemetry::FlightRecorder* flight_recorder() const {
-    return flightrec_;
   }
 
   void EnqueueWrite(int queue, const BufferPtr& buffer,
@@ -232,12 +226,6 @@ class Runtime {
   [[nodiscard]] const std::map<std::string, KernelUsage>& kernel_usage()
       const {
     return kernel_usage_;
-  }
-
-  /// Distribution of per-event durations (kernels and transfers alike)
-  /// over everything recorded so far, in microseconds.
-  [[nodiscard]] const obs::Histogram& event_durations() const {
-    return event_duration_us_;
   }
 
   /// Writes the accumulated runtime metrics (queue occupancy/idle, channel

@@ -1,16 +1,12 @@
 #include "ocl/trace.hpp"
 
 #include <map>
-#include <sstream>
 
-#include "obs/json.hpp"
+#include "obs/report.hpp"
 
 namespace clflow::ocl {
 
 namespace {
-
-using obs::JsonEscape;
-using obs::JsonNum;
 
 const char* KindName(CommandKind kind) {
   switch (kind) {
@@ -24,13 +20,7 @@ const char* KindName(CommandKind kind) {
   return "?";
 }
 
-void EmitProcessName(std::ostringstream& os, int pid,
-                     const std::string& name) {
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-     << ",\"args\":{\"name\":\"" << JsonEscape(name) << "\"}}";
-}
-
-void EmitRuntimeEvents(std::ostringstream& os, const EventPool& events,
+void EmitRuntimeEvents(obs::ChromeTrace& trace, const EventPool& events,
                        int pid) {
   for (const EventPool::View ev : events) {
     // Autorun kernels (queue -1) land on tid 0; queue q on tid q+1.
@@ -39,20 +29,19 @@ void EmitRuntimeEvents(std::ostringstream& os, const EventPool& events,
     // start - stall but blocked on its input channels); render it as its
     // own slice so stalls are visible instead of hiding in args.
     if (ev.stall.us() > 0) {
-      os << ",{\"name\":\"" << JsonEscape(std::string(ev.label))
-         << " [stall]\",\"cat\":\"stall\",\"ph\":\"X\",\"pid\":" << pid
-         << ",\"tid\":" << tid << ",\"ts\":" << (ev.start - ev.stall).us()
-         << ",\"dur\":" << ev.stall.us()
-         << ",\"args\":{\"channel_wait_us\":" << ev.stall.us() << "}}";
+      trace.Slice(std::string(ev.label).append(" [stall]"), "stall", pid, tid,
+                  (ev.start - ev.stall).us(), ev.stall.us(),
+                  obs::TraceArgs().Num("channel_wait_us", ev.stall.us()));
     }
-    os << ",{\"name\":\"" << JsonEscape(std::string(ev.label)) << "\",\"cat\":\""
-       << KindName(ev.kind) << "\",\"ph\":\"X\",\"pid\":" << pid
-       << ",\"tid\":" << tid << ",\"ts\":" << ev.start.us()
-       << ",\"dur\":" << ev.duration().us()
-       << ",\"args\":{\"queued_us\":" << ev.queued.us()
-       << ",\"stall_us\":" << ev.stall.us() << ",\"bytes\":" << ev.bytes
-       << ",\"trace_id\":" << ev.trace_id << ",\"span_id\":" << ev.span_id
-       << ",\"parent_span_id\":" << ev.parent_span_id << "}}";
+    trace.Slice(ev.label, KindName(ev.kind), pid, tid, ev.start.us(),
+                ev.duration().us(),
+                obs::TraceArgs()
+                    .Num("queued_us", ev.queued.us())
+                    .Num("stall_us", ev.stall.us())
+                    .Int("bytes", ev.bytes)
+                    .Int("trace_id", ev.trace_id)
+                    .Int("span_id", ev.span_id)
+                    .Int("parent_span_id", ev.parent_span_id));
   }
 }
 
@@ -61,7 +50,7 @@ void EmitRuntimeEvents(std::ostringstream& os, const EventPool& events,
 /// the middle, "f" binding-to-enclosing at the last), so Perfetto renders
 /// the request's path across queues. Events are already in span order
 /// (the recorder numbers them on the single host thread).
-void EmitFlowEvents(std::ostringstream& os, const EventPool& events,
+void EmitFlowEvents(obs::ChromeTrace& trace, const EventPool& events,
                     int pid) {
   // Pool iteration yields Views by value, so group (queue, start) copies
   // rather than pointers into the range.
@@ -78,14 +67,9 @@ void EmitFlowEvents(std::ostringstream& os, const EventPool& events,
   for (const auto& [trace_id, evs] : requests) {
     if (evs.size() < 2) continue;
     for (std::size_t i = 0; i < evs.size(); ++i) {
-      const FlowPoint& ev = evs[i];
-      const int tid = ev.queue + 1;
       const char* ph = i == 0 ? "s" : (i + 1 == evs.size() ? "f" : "t");
-      os << ",{\"name\":\"request\",\"cat\":\"request\",\"ph\":\"" << ph
-         << "\",\"id\":" << trace_id << ",\"pid\":" << pid
-         << ",\"tid\":" << tid << ",\"ts\":" << ev.start.us();
-      if (ph[0] == 'f') os << ",\"bp\":\"e\"";
-      os << "}";
+      trace.Flow("request", "request", ph, trace_id, pid, evs[i].queue + 1,
+                 evs[i].start.us());
     }
   }
 }
@@ -94,7 +78,7 @@ void EmitFlowEvents(std::ostringstream& os, const EventPool& events,
 /// how many transfer bytes are in flight at each instant. Deltas at equal
 /// timestamps merge into one sample, so zero-duration events contribute
 /// nothing (correctly).
-void EmitCounterTracks(std::ostringstream& os, const EventPool& events,
+void EmitCounterTracks(obs::ChromeTrace& trace, const EventPool& events,
                        int pid) {
   std::map<double, double> occupancy;    // ts -> delta concurrent commands
   std::map<double, double> outstanding;  // ts -> delta in-flight bytes
@@ -106,33 +90,28 @@ void EmitCounterTracks(std::ostringstream& os, const EventPool& events,
       outstanding[ev.end.us()] -= static_cast<double>(ev.bytes);
     }
   }
-  double commands = 0;
-  for (const auto& [ts, delta] : occupancy) {
-    commands += delta;
-    os << ",{\"name\":\"queue occupancy\",\"ph\":\"C\",\"pid\":" << pid
-       << ",\"ts\":" << ts << ",\"args\":{\"commands\":" << JsonNum(commands)
-       << "}}";
-  }
-  double bytes = 0;
-  for (const auto& [ts, delta] : outstanding) {
-    bytes += delta;
-    os << ",{\"name\":\"outstanding transfer bytes\",\"ph\":\"C\",\"pid\":"
-       << pid << ",\"ts\":" << ts << ",\"args\":{\"bytes\":" << JsonNum(bytes)
-       << "}}";
-  }
+  auto emit = [&](const char* name, const char* key,
+                  const std::map<double, double>& deltas) {
+    double level = 0;
+    for (const auto& [ts, delta] : deltas) {
+      level += delta;
+      trace.Counter(name, pid, std::nullopt, ts,
+                    obs::TraceArgs().Num(key, level));
+    }
+  };
+  emit("queue occupancy", "commands", occupancy);
+  emit("outstanding transfer bytes", "bytes", outstanding);
 }
 
-void EmitCompileSpans(std::ostringstream& os,
+void EmitCompileSpans(obs::ChromeTrace& trace,
                       const std::vector<obs::SpanRecord>& spans, int pid) {
   for (const auto& span : spans) {
-    os << ",{\"name\":\"" << JsonEscape(span.name) << "\",\"cat\":\""
-       << JsonEscape(span.category) << "\",\"ph\":\"X\",\"pid\":" << pid
-       << ",\"tid\":0,\"ts\":" << span.start_us << ",\"dur\":" << span.dur_us
-       << ",\"args\":{\"depth\":" << span.depth;
-    for (const auto& [key, value] : span.args) {
-      os << ",\"" << JsonEscape(key) << "\":\"" << JsonEscape(value) << "\"";
-    }
-    os << "}}";
+    obs::TraceArgs args;
+    args.Int("depth", span.depth);
+    for (const auto& [key, value] : span.args) args.Str(key, value);
+    trace.Slice(span.name, span.category, pid, /*tid=*/0,
+                static_cast<double>(span.start_us),
+                static_cast<double>(span.dur_us), args);
   }
 }
 
@@ -143,21 +122,18 @@ std::string ExportChromeTrace(const EventPool& events,
                               const std::string& process_name) {
   // No compile spans: the single-process layout, runtime on pid 1.
   const int runtime_pid = compile_spans.empty() ? 1 : 2;
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
+  obs::ChromeTrace trace;
   if (compile_spans.empty()) {
-    EmitProcessName(os, 1, process_name);
+    trace.ProcessName(1, process_name);
   } else {
-    EmitProcessName(os, 1, process_name + " compile (wall clock)");
-    os << ",";
-    EmitProcessName(os, 2, process_name + " runtime (simulated clock)");
-    EmitCompileSpans(os, compile_spans, /*pid=*/1);
+    trace.ProcessName(1, process_name + " compile (wall clock)");
+    trace.ProcessName(2, process_name + " runtime (simulated clock)");
+    EmitCompileSpans(trace, compile_spans, /*pid=*/1);
   }
-  EmitRuntimeEvents(os, events, runtime_pid);
-  EmitFlowEvents(os, events, runtime_pid);
-  EmitCounterTracks(os, events, runtime_pid);
-  os << "]}";
-  return os.str();
+  EmitRuntimeEvents(trace, events, runtime_pid);
+  EmitFlowEvents(trace, events, runtime_pid);
+  EmitCounterTracks(trace, events, runtime_pid);
+  return trace.Finish();
 }
 
 telemetry::RequestSummary SummarizeRequest(const EventPool& events,

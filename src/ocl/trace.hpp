@@ -1,9 +1,8 @@
 // Execution trace export.
 //
-// Converts the runtime's profiled events into Chrome tracing JSON
-// (chrome://tracing / Perfetto "traceEvents" format), with one row per
-// command queue plus a row for autorun kernels -- the visual counterpart
-// of the paper's Figure 6.2 breakdown.
+// Maps the runtime's profiled events onto obs::ChromeTrace (chrome://tracing
+// / Perfetto), with one row per command queue plus a row for autorun
+// kernels -- the visual counterpart of the paper's Figure 6.2 breakdown.
 //
 // Compile-phase spans (obs::Tracer), when given, merge into the same
 // trace as a second process, so one Perfetto view shows the whole flow:
@@ -22,8 +21,9 @@
 namespace clflow::ocl {
 
 /// Serializes the runtime's event pool as a Chrome trace. Timestamps are
-/// the simulated clock in microseconds; queues map to thread ids (autorun
-/// = tid 0). Channel-stall time renders as a separate "<label> [stall]"
+/// the simulated clock in microseconds, exact to the picosecond at any
+/// point of a run; queues map to thread ids (autorun = tid 0).
+/// Channel-stall time renders as a separate "<label> [stall]"
 /// slice (cat "stall") preceding the kernel slice, and two counter tracks
 /// ("ph":"C") plot queue occupancy (concurrent commands) and outstanding
 /// transfer bytes over time.

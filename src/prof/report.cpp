@@ -6,6 +6,7 @@
 
 #include "common/table.hpp"
 #include "obs/json.hpp"
+#include "obs/report.hpp"
 
 namespace clflow::prof {
 
@@ -16,6 +17,51 @@ using obs::JsonEscape;
 using obs::JsonNum;
 
 std::string Us(double v) { return Table::Num(v, 1); }
+
+// One builder per table: ToText prints them aligned, ToHtml renders the
+// same rows through obs::HtmlTable.
+
+Table AttributionTable(const Profile& p) {
+  Table t({"Kernel", "Class", "Launches", "Time us", "Share", "II us",
+           "Mem us", "Fmax us", "Stall us", "Launch us", "Bottleneck",
+           "Drift"});
+  for (const auto& k : p.kernels) {
+    t.AddRow(
+        {k.name, k.op_class, std::to_string(k.launches), Us(k.total_us),
+         Table::Pct(k.share), Us(k.compute_us), Us(k.memory_us),
+         Us(k.fmax_us), Us(k.stall_us), Us(k.launch_us),
+         std::string(BottleneckName(k.bottleneck)),
+         std::string(k.drift >= 0 ? "+" : "").append(Table::Pct(k.drift, 1))});
+  }
+  return t;
+}
+
+Table RooflineTable(const Profile& p) {
+  Table t({"Kernel", "Flops", "Bytes", "AI flop/B", "GFLOP/s",
+           "Roof GFLOP/s", "Headroom"});
+  for (const auto& k : p.kernels) {
+    t.AddRow({k.name, Table::Num(k.flops, 0), Table::Num(k.bytes, 0),
+              Table::Num(k.intensity, 2), Table::Num(k.achieved_gflops, 2),
+              Table::Num(k.roof_gflops, 1),
+              k.achieved_gflops > 0
+                  ? Table::Speedup(k.roof_gflops / k.achieved_gflops, 1)
+                  : "-"});
+  }
+  return t;
+}
+
+Table QueueTable(const Profile& p) {
+  Table t({"Queue", "Busy us", "Idle us", "Occupancy"});
+  for (const auto& q : p.queues) {
+    const double span = q.busy_us + q.idle_us;
+    t.AddRow({std::to_string(q.queue), Us(q.busy_us), Us(q.idle_us),
+              span > 0 ? Table::Pct(q.busy_us / span) : "-"});
+  }
+  if (p.autorun_busy_us > 0) {
+    t.AddRow({"autorun", Us(p.autorun_busy_us), "-", "-"});
+  }
+  return t;
+}
 
 }  // namespace
 
@@ -30,42 +76,9 @@ std::string ToText(const Profile& p) {
   os << "  makespan " << Us(p.makespan_us) << " us  (h2d " << Us(p.write_us)
      << " us, d2h " << Us(p.read_us) << " us)\n\n";
 
-  Table attribution({"Kernel", "Class", "Launches", "Time us", "Share",
-                     "II us", "Mem us", "Fmax us", "Stall us", "Launch us",
-                     "Bottleneck", "Drift"});
-  for (const auto& k : p.kernels) {
-    attribution.AddRow(
-        {k.name, k.op_class, std::to_string(k.launches), Us(k.total_us),
-         Table::Pct(k.share), Us(k.compute_us), Us(k.memory_us),
-         Us(k.fmax_us), Us(k.stall_us), Us(k.launch_us),
-         std::string(BottleneckName(k.bottleneck)),
-         std::string(k.drift >= 0 ? "+" : "").append(Table::Pct(k.drift, 1))});
-  }
-  os << attribution.ToString() << "\n";
-
-  Table roofline({"Kernel", "Flops", "Bytes", "AI flop/B", "GFLOP/s",
-                  "Roof GFLOP/s", "Headroom"});
-  for (const auto& k : p.kernels) {
-    roofline.AddRow({k.name, Table::Num(k.flops, 0), Table::Num(k.bytes, 0),
-                     Table::Num(k.intensity, 2),
-                     Table::Num(k.achieved_gflops, 2),
-                     Table::Num(k.roof_gflops, 1),
-                     k.achieved_gflops > 0
-                         ? Table::Speedup(k.roof_gflops / k.achieved_gflops, 1)
-                         : "-"});
-  }
-  os << roofline.ToString() << "\n";
-
-  Table queues({"Queue", "Busy us", "Idle us", "Occupancy"});
-  for (const auto& q : p.queues) {
-    const double span = q.busy_us + q.idle_us;
-    queues.AddRow({std::to_string(q.queue), Us(q.busy_us), Us(q.idle_us),
-                   span > 0 ? Table::Pct(q.busy_us / span) : "-"});
-  }
-  if (p.autorun_busy_us > 0) {
-    queues.AddRow({"autorun", Us(p.autorun_busy_us), "-", "-"});
-  }
-  os << queues.ToString();
+  os << AttributionTable(p).ToString() << "\n";
+  os << RooflineTable(p).ToString() << "\n";
+  os << QueueTable(p).ToString();
   if (p.unmatched_events > 0) {
     os << "\nWARNING: " << p.unmatched_events
        << " kernel event(s) did not match the launch plan (CLF602)\n";
@@ -149,21 +162,6 @@ const char* SliceColor(const std::string& kind) {
 
 std::string ToHtml(const Profile& p) {
   std::ostringstream os;
-  os << "<!DOCTYPE html><html><head><meta charset=\"utf-8\">"
-     << "<title>clflow profile: " << HtmlEscape(p.net) << "</title><style>"
-     << "body{font-family:system-ui,sans-serif;margin:24px;color:#222}"
-     << "h1{font-size:20px}h2{font-size:16px;margin-top:28px}"
-     << "table{border-collapse:collapse;font-size:13px}"
-     << "td,th{border:1px solid #ccc;padding:4px 8px;text-align:right}"
-     << "td:first-child,th:first-child{text-align:left}"
-     << ".bar{display:flex;height:18px;width:480px;background:#eee}"
-     << ".bar div{height:100%}"
-     << ".legend span{display:inline-block;padding:2px 8px;margin-right:6px;"
-     << "font-size:12px;color:#fff}"
-     << "svg text{font-size:10px;font-family:monospace}"
-     << "</style></head><body>";
-  os << "<h1>clflow profile &mdash; " << HtmlEscape(p.net) << " on "
-     << HtmlEscape(p.board_name) << "</h1>";
   os << "<p>fmax " << Table::Num(p.fmax_mhz, 0) << " MHz (base "
      << Table::Num(p.base_fmax_mhz, 0) << " MHz) &middot; peak "
      << Table::Num(p.peak_gflops, 0) << " GFLOP/s &middot; DRAM "
@@ -204,71 +202,35 @@ std::string ToHtml(const Profile& p) {
        << Table::Num(s.dur_us, 2) << " us @ " << Table::Num(s.start_us, 2)
        << " us</title></rect>";
   }
-  os << "</svg><p class=\"legend\">"
-     << "<span style=\"background:#4c8dd6\">write</span>"
-     << "<span style=\"background:#7d6fc3\">kernel</span>"
-     << "<span style=\"background:#e0b13f\">stall</span>"
-     << "<span style=\"background:#55b8a0\">read</span>"
-     << "<span style=\"background:#d65a4c\">fault</span></p>";
+  std::vector<std::pair<std::string, std::string>> kinds;
+  for (const char* kind : {"write", "kernel", "stall", "read", "fault"}) {
+    kinds.emplace_back(kind, SliceColor(kind));
+  }
+  os << "</svg>" << obs::HtmlLegend(kinds);
 
-  // --- Per-kernel attribution bars. ----------------------------------------
-  os << "<h2>Bottleneck attribution</h2><p class=\"legend\">"
-     << "<span style=\"background:#5a9e5d\">II</span>"
-     << "<span style=\"background:#c2703f\">memory</span>"
-     << "<span style=\"background:#b04a5a\">fmax</span>"
-     << "<span style=\"background:#e0b13f\">stall</span>"
-     << "<span style=\"background:#888\">launch</span></p><table>"
-     << "<tr><th>Kernel</th><th>Launches</th><th>Time &micro;s</th>"
-     << "<th>Attribution</th><th>Bottleneck</th><th>Drift</th></tr>";
+  // --- Per-kernel attribution bars, then the attribution table. ------------
+  const std::vector<std::pair<std::string, std::string>> causes = {
+      {"II", "#5a9e5d"}, {"memory", "#c2703f"}, {"fmax", "#b04a5a"},
+      {"stall", "#e0b13f"}, {"launch", "#888"}};
+  os << "<h2>Bottleneck attribution</h2>" << obs::HtmlLegend(causes);
   for (const auto& k : p.kernels) {
-    const double whole =
-        k.total_us + k.stall_us + k.launch_us;
-    auto seg = [&](double v, const char* color) {
-      if (v <= 0 || whole <= 0) return;
-      os << "<div style=\"width:" << Table::Num(v / whole * 100.0, 2)
-         << "%;background:" << color << "\" title=\""
-         << Table::Num(v, 2) << " us\"></div>";
-    };
-    os << "<tr><td>" << HtmlEscape(k.name) << "</td><td>" << k.launches
-       << "</td><td>" << Table::Num(k.total_us, 1)
-       << "</td><td><div class=\"bar\">";
-    seg(k.compute_us, "#5a9e5d");
-    seg(k.memory_us, "#c2703f");
-    seg(k.fmax_us, "#b04a5a");
-    seg(k.stall_us, "#e0b13f");
-    seg(k.launch_us, "#888");
-    os << "</div></td><td>" << BottleneckName(k.bottleneck) << "</td><td>"
-       << (k.drift >= 0 ? "+" : "") << Table::Pct(k.drift, 1)
-       << "</td></tr>";
+    const double parts[] = {k.compute_us, k.memory_us, k.fmax_us, k.stall_us,
+                            k.launch_us};
+    const double whole = k.total_us + k.stall_us + k.launch_us;
+    os << "<div class=\"attr\"><span>" << HtmlEscape(k.name)
+       << "</span><div class=\"bar\">";
+    for (std::size_t i = 0; i < causes.size(); ++i) {
+      if (parts[i] <= 0 || whole <= 0) continue;
+      os << "<div style=\"width:" << Table::Num(parts[i] / whole * 100.0, 2)
+         << "%;background:" << causes[i].second << "\" title=\""
+         << Table::Num(parts[i], 2) << " us\"></div>";
+    }
+    os << "</div></div>";
   }
-  os << "</table>";
-
-  // --- Roofline table. -----------------------------------------------------
-  os << "<h2>Roofline</h2><table><tr><th>Kernel</th><th>AI flop/B</th>"
-     << "<th>GFLOP/s</th><th>Roof GFLOP/s</th><th>Headroom</th></tr>";
-  for (const auto& k : p.kernels) {
-    os << "<tr><td>" << HtmlEscape(k.name) << "</td><td>"
-       << Table::Num(k.intensity, 2) << "</td><td>"
-       << Table::Num(k.achieved_gflops, 2) << "</td><td>"
-       << Table::Num(k.roof_gflops, 1) << "</td><td>"
-       << (k.achieved_gflops > 0
-               ? Table::Speedup(k.roof_gflops / k.achieved_gflops, 1)
-               : "-")
-       << "</td></tr>";
-  }
-  os << "</table>";
-
-  // --- Queue occupancy. ----------------------------------------------------
-  os << "<h2>Queues</h2><table><tr><th>Queue</th><th>Busy &micro;s</th>"
-     << "<th>Idle &micro;s</th><th>Occupancy</th></tr>";
-  for (const auto& q : p.queues) {
-    const double s = q.busy_us + q.idle_us;
-    os << "<tr><td>" << q.queue << "</td><td>" << Table::Num(q.busy_us, 1)
-       << "</td><td>" << Table::Num(q.idle_us, 1) << "</td><td>"
-       << (s > 0 ? Table::Pct(q.busy_us / s) : "-") << "</td></tr>";
-  }
-  os << "</table></body></html>";
-  return os.str();
+  os << obs::HtmlTable(AttributionTable(p));
+  os << "<h2>Roofline</h2>" << obs::HtmlTable(RooflineTable(p));
+  os << "<h2>Queues</h2>" << obs::HtmlTable(QueueTable(p));
+  return obs::HtmlPage("profile", p.net + " on " + p.board_name, os.str());
 }
 
 }  // namespace clflow::prof

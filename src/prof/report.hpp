@@ -4,9 +4,10 @@
 //                 queue occupancy. What flow_inspector --profile prints.
 //   * ToJson   -- the full profile as one JSON document (machine use;
 //                 parses with obs::json::Parse).
-//   * ToHtml   -- a single self-contained HTML file: inline CSS, an SVG
-//                 timeline (one lane per queue plus autorun), and stacked
-//                 per-kernel attribution bars. No external assets, so the
+//   * ToHtml   -- a single self-contained HTML file (obs::HtmlPage): an
+//                 SVG timeline (one lane per queue plus autorun), stacked
+//                 per-kernel attribution bars, and ToText's attribution,
+//                 roofline and queue tables. No external assets, so the
 //                 file survives being attached to a CI run or an email.
 #pragma once
 

@@ -1,11 +1,13 @@
 #include "serve/observatory.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <sstream>
 
 #include "common/table.hpp"
 #include "obs/json.hpp"
+#include "obs/report.hpp"
 
 namespace clflow::serve {
 
@@ -225,11 +227,11 @@ void ChartSvg(std::ostringstream& os, const ObsChart& chart) {
      << Table::Num(xmin, 0) << " us</text>";
   os << "<text x=\"" << width - 120 << "\" y=\"" << height - 6 << "\">"
      << Table::Num(xmax, 0) << " us</text>";
-  int color = 0;
+  std::vector<std::pair<std::string, std::string>> legend;
   for (const ObsSeries& s : chart.series) {
     if (s.x_us.empty()) continue;
-    const char* stroke =
-        kColors[color++ % (sizeof(kColors) / sizeof(kColors[0]))];
+    const char* stroke = kColors[legend.size() % std::size(kColors)];
+    legend.emplace_back(s.name, stroke);
     os << "<polyline fill=\"none\" stroke=\"" << stroke
        << "\" stroke-width=\"1.5\" points=\"";
     for (std::size_t i = 0; i < s.x_us.size(); ++i) {
@@ -243,83 +245,45 @@ void ChartSvg(std::ostringstream& os, const ObsChart& chart) {
     }
     os << "\"><title>" << HtmlEscape(s.name) << "</title></polyline>";
   }
-  // Legend.
-  os << "</svg><p class=\"legend\">";
-  color = 0;
-  for (const ObsSeries& s : chart.series) {
-    if (s.x_us.empty()) continue;
-    const char* stroke =
-        kColors[color++ % (sizeof(kColors) / sizeof(kColors[0]))];
-    os << "<span style=\"background:" << stroke << "\">"
-       << HtmlEscape(s.name) << "</span>";
-  }
-  os << "</p>";
+  os << "</svg>" << obs::HtmlLegend(legend);
 }
 
 }  // namespace
 
 std::string Observatory::ToHtml() const {
   std::ostringstream os;
-  os << "<!DOCTYPE html><html><head><meta charset=\"utf-8\">"
-     << "<title>clflow observatory: " << HtmlEscape(title)
-     << "</title><style>"
-     << "body{font-family:system-ui,sans-serif;margin:24px;color:#222}"
-     << "h1{font-size:20px}h2{font-size:16px;margin-top:28px}"
-     << "h2 small{color:#888;font-weight:normal}"
-     << "table{border-collapse:collapse;font-size:13px}"
-     << "td,th{border:1px solid #ccc;padding:4px 8px;text-align:right}"
-     << "td:first-child,th:first-child{text-align:left}"
-     << ".legend span{display:inline-block;padding:2px 8px;margin-right:6px;"
-     << "font-size:12px;color:#fff}"
-     << "svg text{font-size:10px;font-family:monospace}"
-     << "</style></head><body>";
-  os << "<h1>clflow observatory &mdash; " << HtmlEscape(title) << "</h1>";
   os << "<p>" << HtmlEscape(target) << " &middot; " << HtmlEscape(shape)
      << " trace, seed " << seed << ", " << requests
      << " requests &middot; window " << Table::Num(resolution_us, 0)
      << " &micro;s &middot; digest <code>" << std::hex << digest << std::dec
      << "</code></p>";
-  os << "<table><tr><th>p50 &micro;s</th><th>p95 &micro;s</th>"
-     << "<th>p99 &micro;s</th><th>max &micro;s</th><th>objective</th>"
-     << "<th>goodput</th><th>offered rps</th><th>achieved rps</th>"
-     << "<th>peak occ</th><th>mean qdelay</th><th>errors</th>"
-     << "<th>failovers</th></tr>";
-  os << "<tr><td>" << Table::Num(p50_us, 1) << "</td><td>"
-     << Table::Num(p95_us, 1) << "</td><td>" << Table::Num(p99_us, 1)
-     << "</td><td>" << Table::Num(max_us, 1) << "</td><td>"
-     << Table::Num(objective_us, 1) << "</td><td>"
-     << Table::Num(goodput * 100.0, 1) << "%</td><td>"
-     << Table::Num(offered_rps, 1) << "</td><td>"
-     << Table::Num(achieved_rps, 1) << "</td><td>"
-     << Table::Num(peak_occupancy, 2) << "</td><td>"
-     << Table::Num(mean_queue_delay_us, 1) << "</td><td>" << errors
-     << "</td><td>" << failovers << "</td></tr></table>";
+  Table summary({"p50 us", "p95 us", "p99 us", "max us", "objective",
+                 "goodput", "offered rps", "achieved rps", "peak occ",
+                 "mean qdelay", "errors", "failovers"});
+  summary.AddRow({Table::Num(p50_us, 1), Table::Num(p95_us, 1),
+                  Table::Num(p99_us, 1), Table::Num(max_us, 1),
+                  Table::Num(objective_us, 1), Table::Pct(goodput, 1),
+                  Table::Num(offered_rps, 1), Table::Num(achieved_rps, 1),
+                  Table::Num(peak_occupancy, 2),
+                  Table::Num(mean_queue_delay_us, 1), std::to_string(errors),
+                  std::to_string(failovers)});
+  os << obs::HtmlTable(summary);
   for (const ObsChart& c : charts) ChartSvg(os, c);
-  os << "</body></html>";
-  return os.str();
+  return obs::HtmlPage("observatory", title, os.str());
 }
 
 std::string Observatory::ToChromeTrace() const {
-  using obs::JsonEscape;
-  using obs::JsonNum;
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
+  obs::ChromeTrace trace;
   for (const ObsChart& c : charts) {
     for (const ObsSeries& s : c.series) {
       const std::string name = c.title + ": " + s.name;
       for (std::size_t i = 0; i < s.x_us.size(); ++i) {
-        if (!first) os << ",";
-        first = false;
-        os << "{\"name\":\"" << JsonEscape(name)
-           << "\",\"ph\":\"C\",\"pid\":9,\"tid\":0,\"ts\":"
-           << JsonNum(s.x_us[i]) << ",\"args\":{\"value\":"
-           << JsonNum(s.y[i]) << "}}";
+        trace.Counter(name, /*pid=*/9, /*tid=*/0, s.x_us[i],
+                      obs::TraceArgs().Num("value", s.y[i]));
       }
     }
   }
-  os << "]}";
-  return os.str();
+  return trace.Finish();
 }
 
 }  // namespace clflow::serve

@@ -362,6 +362,47 @@ TEST(Trace, TransferBytesCounterAndEscapedLabelsRoundTrip) {
   EXPECT_DOUBLE_EQ(samples[3], 0.0);
 }
 
+TEST(Trace, TimestampsPastOneSecondStayExact) {
+  // Back-to-back commands from 1234567.891 us on: past 1 s a writer that
+  // keeps six significant digits rounds ts to 10 us, and consecutive
+  // slices on one queue overlap.
+  ocl::EventPool events;
+  std::vector<std::pair<double, double>> expected;  // (ts, dur) per slice
+  SimTime t = SimTime::Us(1234567.891);
+  for (int i = 0; i < 8; ++i) {
+    const SimTime stall = i % 3 == 1 ? SimTime::Ps(1500001) : kSimTimeZero;
+    const SimTime start = t + stall;
+    const SimTime end = start + SimTime::Ps(28458300 + 7919 * i);
+    events.Record("k_" + std::to_string(i), ocl::CommandKind::kKernel, 0, t,
+                  start, end, stall, 0, 0, 0, 0);
+    if (stall > kSimTimeZero) expected.emplace_back(t.us(), stall.us());
+    expected.emplace_back(start.us(), (end - start).us());
+    t = end;
+  }
+  const std::string trace = ocl::ExportChromeTrace(events, {}, "late@board");
+  const auto parsed = json::Parse(trace);
+  ASSERT_TRUE(parsed.has_value()) << trace;
+  std::vector<std::pair<double, double>> slices;
+  for (const auto& ev : parsed->Find("traceEvents")->array) {
+    if (ev.Find("ph")->str != "X") continue;
+    EXPECT_DOUBLE_EQ(ev.Find("tid")->number, 1.0);
+    slices.emplace_back(ev.Find("ts")->number, ev.Find("dur")->number);
+  }
+  ASSERT_EQ(slices.size(), expected.size());
+  for (std::size_t i = 0; i < slices.size(); ++i) {
+    // Exact: JSON carries SimTime::us() bit for bit.
+    EXPECT_EQ(slices[i].first, expected[i].first) << "slice " << i;
+    EXPECT_EQ(slices[i].second, expected[i].second) << "slice " << i;
+    if (i > 0) {
+      // No slice starts before its predecessor ends (1 ps of slack for
+      // the double sum ts + dur).
+      EXPECT_GE(slices[i].first,
+                slices[i - 1].first + slices[i - 1].second - 1e-6)
+          << "slice " << i;
+    }
+  }
+}
+
 // ------------------------------------------------- Prometheus export
 
 TEST(Metrics, ToPrometheusExposesAllMetricKinds) {

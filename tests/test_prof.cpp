@@ -242,6 +242,92 @@ TEST(Prof, ReportsRenderInAllFormats) {
   EXPECT_EQ(html.find("href=\"http"), std::string::npos);
 }
 
+/// The data rows of the ToText table whose header starts with `first`
+/// and `second`, as trimmed cells.
+std::vector<std::vector<std::string>> TextTableRows(const std::string& text,
+                                                    const std::string& first,
+                                                    const std::string& second) {
+  std::vector<std::vector<std::string>> rows;
+  std::istringstream in(text);
+  std::string line;
+  bool inside = false;
+  while (std::getline(in, line)) {
+    if (line.rfind("| ", 0) != 0) {
+      if (line.rfind("|-", 0) != 0) inside = false;  // blank line ends it
+      continue;
+    }
+    std::vector<std::string> cells;
+    std::istringstream cols(line.substr(1));
+    std::string cell;
+    while (std::getline(cols, cell, '|')) {
+      const auto b = cell.find_first_not_of(' ');
+      const auto e = cell.find_last_not_of(' ');
+      cells.push_back(b == std::string::npos ? "" : cell.substr(b, e - b + 1));
+    }
+    if (cells.size() >= 2 && cells[0] == first && cells[1] == second) {
+      inside = true;
+    } else if (inside) {
+      rows.push_back(std::move(cells));
+    }
+  }
+  return rows;
+}
+
+TEST(Prof, HtmlCarriesEveryRooflineAndQueueRowOfText) {
+  auto d = CompilePipelinedLenet();
+  ASSERT_TRUE(d.ok());
+  const prof::Profile p = prof::BuildProfile(d, LenetImage());
+  const std::string text = prof::ToText(p);
+  const std::string html = prof::ToHtml(p);
+
+  const auto roofline = TextTableRows(text, "Kernel", "Flops");
+  const auto queues = TextTableRows(text, "Queue", "Busy us");
+  EXPECT_EQ(roofline.size(), p.kernels.size());
+  ASSERT_FALSE(queues.empty());
+  EXPECT_EQ(queues.back()[0], "autorun");  // autorun kernels get a row
+  for (const auto* table : {&roofline, &queues}) {
+    for (const auto& cells : *table) {
+      std::string row = "<tr>";
+      for (const auto& cell : cells) {
+        row.append("<td>").append(obs::HtmlEscape(cell)).append("</td>");
+      }
+      row += "</tr>";
+      EXPECT_NE(html.find(row), std::string::npos) << row;
+    }
+  }
+}
+
+TEST(Prof, StaticEstimateRatioIsNamedApartFromDrift) {
+  // Folded MobileNet on s10sx: k_pad1 runs at many layer shapes, so the
+  // synthesis-time estimate (one representative binding) misjudges its
+  // mean launch, while prof re-analyzes every invocation and matches the
+  // schedule. The two numbers measure different things under different
+  // names.
+  Rng rng(78);
+  const graph::Graph net = nets::BuildMobileNetV1(rng);
+  const Tensor image = nets::SyntheticImagenetImage(rng);
+  core::DeployOptions o;
+  o.mode = core::ExecutionMode::kFolded;
+  o.recipe = core::FoldedMobileNet("s10sx");
+  o.board = fpga::Stratix10SX();
+  auto d = core::Deployment::Compile(net, o);
+  ASSERT_TRUE(d.ok());
+  const prof::Profile p = prof::BuildProfile(d, image);
+  obs::Registry reg;
+  d.ExportRuntimeMetrics(reg);
+  const obs::Labels pad = {{"kernel", "k_pad1"}};
+  EXPECT_GT(reg.gauge("perf.kernel.static_estimate_us", pad).value(), 0.0);
+  EXPECT_GT(reg.gauge("perf.kernel.static_estimate_ratio", pad).value(),
+            1.5);
+  bool found = false;
+  for (const auto& k : p.kernels) {
+    if (k.name != "k_pad1") continue;
+    found = true;
+    EXPECT_LT(std::abs(k.drift), 1e-6);
+  }
+  EXPECT_TRUE(found);
+}
+
 // ------------------------------------------------------------- bench diff
 
 prof::BenchSnapshot Snap(std::map<std::string, double> metrics) {
